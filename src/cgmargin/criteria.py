@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, SoundnessError, UnstableFixedPartError
-from .lti import StateSpace, freq_response, is_hurwitz
+from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, is_hurwitz
 from .mdelta import MDeltaModel, closed_loop_matrix
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,6 +52,42 @@ def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200
 def golden_max(f, a: float, b: float, **kw):
     x, fneg = golden_min(lambda t: -f(t), a, b, **kw)
     return x, -fneg
+
+
+def golden_min_lockstep(f, a, b, rel_tol: float = 1e-9, max_iter: int = 200):
+    """``golden_min`` on every bracket [a[k], b[k]] at once.
+
+    ``f(k, x)`` returns the objective of brackets ``k`` at points ``x``
+    (arrays); it is called once per iteration for all brackets still
+    searching.  Each bracket keeps golden_min's update and stop rules, so
+    its (x, f(x)) equals golden_min's on that bracket alone.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    if a.size == 0:
+        return a, a.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    live = np.arange(a.size)
+    fc, fd = np.split(f(np.concatenate([live, live]), np.concatenate([c, d])), 2)
+    for _ in range(max_iter):
+        wide = np.abs(b[live] - a[live]) > rel_tol * np.maximum(
+            np.maximum(np.abs(a[live]), np.abs(b[live])), 1e-300
+        )
+        live = live[wide]
+        if live.size == 0:
+            break
+        left = fc[live] < fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
+        fnew = f(live, np.where(left, c[live], d[live]))
+        fc[lt] = fnew[left]
+        fd[rt] = fnew[~left]
+    pick = fc < fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +146,12 @@ def sample_locus(
     """Sample M(jw) on a log grid and refine near the decisive features.
 
     The base grid of n log-spaced points on [wmin, wmax] is augmented by
-    w = 0 and adaptively refined: real-axis crossings are bisected to
-    |Im| < 1e-9, and local extrema of Re, -Re, |M|, and a fixed set of
+    w = 0 and adaptively refined.  A sample with Im = 0 is a real-axis
+    crossing; a sign change of Im between samples is bisected to
+    |Im| < 1e-9.  Local extrema of Re, -Re, |M|, and a fixed set of
     Popov-slope probes Re - q*w*Im are polished by golden-section search
-    on the continuous response.
+    on the continuous response, all in lockstep: one stacked response per
+    iteration across every bracket (``golden_min_lockstep``).
     """
     if wmin <= 0 or wmax <= wmin or n < 2:
         raise DimensionError("need 0 < wmin < wmax and n >= 2")
@@ -130,45 +168,47 @@ def sample_locus(
     om = locus.omegas
     vals = locus.values
 
-    extra_w: list[float] = []
-    extra_v: list[complex] = []
-
     # w = 0 sample: real by construction for real matrices
     m0 = ev(0.0)
-    extra_w.append(0.0)
-    extra_v.append(complex(m0.real))
+    extra_w: list[float] = [0.0]
+    extra_v: list[complex] = [complex(m0.real)]
 
-    # real-axis crossings
-    crossings = [(0.0, m0.real)]
+    # real-axis crossings: samples on the axis, and sign changes of Im
+    # bisected on the continuous response
     im = vals.imag
-    for i in range(om.size - 1):
-        if im[i] == 0.0 and abs(im[i]) < 1e-300:
-            continue
-        if np.sign(im[i]) * np.sign(im[i + 1]) < 0:
-            wc, value = _bisect_crossing(ev, om[i], om[i + 1])
-            crossings.append((wc, value.real))
-            extra_w.append(wc)
-            extra_v.append(value)
+    on_axis = np.nonzero((im == 0.0) & (om > 0.0))[0]
+    crossings = [(0.0, m0.real)]
+    crossings += [(float(om[i]), float(vals[i].real)) for i in on_axis]
+    for i in np.nonzero(np.sign(im[:-1]) * np.sign(im[1:]) < 0)[0]:
+        wc, value = _bisect_crossing(ev, om[i], om[i + 1])
+        crossings.append((wc, value.real))
+        extra_w.append(wc)
+        extra_v.append(value)
 
-    # extrema polishing: per-sample tracks come from the stored grid, the
-    # polish itself runs on the continuous response
-    functionals = [
-        (vals.real, lambda w: ev(w).real),
-        (-vals.real, lambda w: -ev(w).real),
-        (np.abs(vals), lambda w: abs(ev(w))),
-    ]
-    for q in PROBE_SLOPES:
-        functionals.append(
-            (
-                vals.real - q * om * vals.imag,
-                lambda w, q=q: (lambda m: m.real - q * w * m.imag)(ev(w)),
-            )
+    # extrema polishing: each local maximum on the stored grid of Re, -Re,
+    # |M| and the probe functionals Re - q*w*Im brackets one golden-section
+    # search on the continuous response; all of them run in lockstep
+    tracks = [vals.real, -vals.real, np.abs(vals)]
+    tracks += [vals.real - q * om * vals.imag for q in PROBE_SLOPES]
+    peaks = [(k, i) for k, t in enumerate(tracks) for i in _local_max_indices(t)]
+    kind, at = np.array(peaks, dtype=int).reshape(-1, 2).T
+    magnitude = kind == 2
+    sign = np.where(kind == 1, -1.0, 1.0)
+    slope = np.array([0.0, 0.0, 0.0, *PROBE_SLOPES])[kind]
+
+    def minus_functional(j, w):
+        m = freq_values(M, w)
+        return np.where(
+            magnitude[j],
+            -np.hypot(m.real, m.imag),
+            -sign[j] * (m.real - slope[j] * w * m.imag),
         )
-    for track, g in functionals:
-        for i in _local_max_indices(track):
-            wstar, _ = golden_max(g, om[i - 1], om[i + 1], rel_tol=refine_tol * 1e-1)
-            extra_w.append(wstar)
-            extra_v.append(ev(wstar))
+
+    wstar, _ = golden_min_lockstep(
+        minus_functional, om[at - 1], om[at + 1], rel_tol=refine_tol * 1e-1
+    )
+    extra_w.extend(wstar)
+    extra_v.extend(freq_values(M, wstar))
 
     all_w = np.concatenate([om, np.array(extra_w)])
     all_v = np.concatenate([vals, np.array(extra_v, dtype=complex)])
@@ -431,6 +471,16 @@ def _max_real_part(model: MDeltaModel, delta: float) -> float:
     return float(np.linalg.eigvals(closed_loop_matrix(model, delta)).real.max())
 
 
+def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
+    """_max_real_part of each delta: stacked eigvals, STACK_BYTES at a time."""
+    size = max(1, STACK_BYTES // (8 * model.H.size))
+    return np.concatenate([
+        np.linalg.eigvals(closed_loop_matrix(model, deltas[lo : lo + size, None, None]))
+        .real.max(axis=1)
+        for lo in range(0, deltas.size, size)
+    ])
+
+
 def _bisect_boundary(model, stable: float, unstable: float, tol: float, margin: float):
     while abs(unstable - stable) > tol:
         mid = 0.5 * (stable + unstable)
@@ -577,11 +627,11 @@ def verify_interval(
             notes="degenerate interval",
         )
     deltas = np.linspace(interval.lower, interval.upper, n_samples + 2)[1:-1]
-    failures = []
-    for d in deltas:
-        mr = _max_real_part(model, float(d))
-        if mr >= -margin:
-            failures.append((float(d), mr))
+    failures = [
+        (float(d), float(mr))
+        for d, mr in zip(deltas, _max_real_parts(model, deltas))
+        if mr >= -margin
+    ]
     notes = ""
     if interval.criterion == "exact":
         for bound in (interval.lower, interval.upper):

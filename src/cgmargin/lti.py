@@ -4,6 +4,10 @@ Transfer functions in zero/pole/gain form, state-space realizations,
 series and unity-feedback interconnections, eigenvalues, and frequency
 response.  Everything here is real-coefficient, continuous-time, and
 immutable after construction.
+
+The frequency response of many points is evaluated as stacks of LU
+solves, in chunks of bounded size, with each value bit-identical to one
+dense solve at that point (``freq_values``, ``freq_response``).
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import (
 )
 
 CONJUGATE_TOL = 1e-10
+
+# bytes of complex n x n matrices per stacked solve; bounds the memory a
+# stack adds at large n
+STACK_BYTES = 128 * 1024
 
 
 def _real_poly(roots) -> np.ndarray:
@@ -247,12 +255,40 @@ def feedback_unity(loop: StateSpace) -> StateSpace:
     return StateSpace(H, loop.B, loop.C, loop.D)
 
 
+def freq_values(sys: StateSpace, omegas) -> np.ndarray:
+    """C (jwI - A)^-1 B + D of a SISO system at each w of a 1-D array.
+
+    The frequencies may come in any order.  The matrices jwI - A are
+    LU-solved in stacks of at most STACK_BYTES, formed and combined exactly
+    as ``evaluate`` does one point, so each value is bit-identical to
+    ``evaluate(1j * w)[0, 0]``.  Raises LinAlgError if a stack contains an
+    imaginary-axis pole.
+    """
+    om = np.asarray(omegas, dtype=float)
+    n = sys.nstates
+    if n == 0:
+        return np.full(om.shape, complex(sys.D[0, 0]))
+    I = np.eye(n)
+    out = np.empty(om.shape, dtype=complex)
+    size = _stack_size(n)
+    for lo in range(0, om.size, size):
+        w = om[lo : lo + size]
+        x = np.linalg.solve(1j * w[:, None, None] * I - sys.A, sys.B)
+        out[lo : lo + size] = (sys.C @ x + sys.D)[:, 0, 0]
+    return out
+
+
+def _stack_size(n: int) -> int:
+    return max(1, STACK_BYTES // (16 * n * n or 1))
+
+
 def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
     """Sample C (jwI - A)^-1 B + D of a SISO system over a frequency grid.
 
-    Each sample is a dense linear solve.  A grid point that lands on an
-    imaginary-axis pole is perturbed by one grid step times 1e-6, with a
-    warning.
+    The grid is solved in stacks by ``freq_values``, so every sample is
+    bit-identical to one dense solve per point.  A stack that hits an
+    imaginary-axis pole is redone point by point, and the grid point on
+    the pole is perturbed by one grid step times 1e-6, with a warning.
     """
     if sys.ninputs != 1 or sys.noutputs != 1:
         raise DimensionError("freq_response requires a SISO system")
@@ -261,35 +297,28 @@ def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
         raise DimensionError("grid must be a nonempty 1-D array")
     if np.any(om < 0) or np.any(np.diff(om) <= 0):
         raise DimensionError("grid must be nonnegative and strictly increasing")
-    n = sys.nstates
-    I = np.eye(n)
-    omegas = []
-    values = []
-    for i, w in enumerate(om):
+    omegas = om.copy()
+    values = np.empty(om.size, dtype=complex)
+    size = _stack_size(sys.nstates)
+    for lo in range(0, om.size, size):
         try:
-            val = _solve_sample(sys, I, w)
+            values[lo : lo + size] = freq_values(sys, om[lo : lo + size])
         except np.linalg.LinAlgError:
-            step = om[min(i + 1, om.size - 1)] - om[max(i - 1, 0)]
-            if step <= 0:
-                step = max(abs(w), 1.0)
-            w_shift = w + step * 1e-6
-            warnings.warn(
-                f"frequency {w} rad/s coincides with an imaginary-axis pole; "
-                f"perturbed to {w_shift}",
-                stacklevel=2,
-            )
-            w = w_shift
-            val = _solve_sample(sys, I, w)
-        omegas.append(w)
-        values.append(val)
-    return FrequencyLocus(np.array(omegas), np.array(values))
-
-
-def _solve_sample(sys: StateSpace, I: np.ndarray, w: float) -> complex:
-    if sys.nstates == 0:
-        return complex(sys.D[0, 0])
-    x = np.linalg.solve(1j * w * I - sys.A, sys.B)
-    return complex((sys.C @ x + sys.D)[0, 0])
+            for i in range(lo, min(lo + size, om.size)):
+                try:
+                    values[i] = freq_values(sys, om[i : i + 1])[0]
+                except np.linalg.LinAlgError:
+                    step = om[min(i + 1, om.size - 1)] - om[max(i - 1, 0)]
+                    if step <= 0:
+                        step = max(abs(om[i]), 1.0)
+                    omegas[i] = om[i] + step * 1e-6
+                    warnings.warn(
+                        f"frequency {om[i]} rad/s coincides with an "
+                        f"imaginary-axis pole; perturbed to {omegas[i]}",
+                        stacklevel=2,
+                    )
+                    values[i] = freq_values(sys, omegas[i : i + 1])[0]
+    return FrequencyLocus(omegas, values)
 
 
 def tf_of_ss(sys: StateSpace, trim_tol: float = 1e-9) -> TransferFunction:

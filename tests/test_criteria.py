@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from cgmargin.criteria import (
+    PROBE_SLOPES,
     circle_bounds,
     exact_bounds,
     golden_max,
     golden_min,
+    golden_min_lockstep,
     popov_bounds,
     positive_real_bounds,
     require_sound,
@@ -18,7 +20,7 @@ from cgmargin.criteria import (
     verify_interval,
 )
 from cgmargin.errors import DimensionError, SoundnessError, UnstableFixedPartError
-from cgmargin.lti import StateSpace, ss_realize, tf_from_zpk
+from cgmargin.lti import STACK_BYTES, StateSpace, freq_response, ss_realize, tf_from_zpk
 from cgmargin.mdelta import closed_loop_matrix
 
 from conftest import dense_response
@@ -46,6 +48,39 @@ class TestGoldenSection:
         x, _ = golden_min(lambda t: t, 1.0, 2.0)
         assert x == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("max_iter", [200, 5])
+    def test_lockstep_equals_golden_min_per_bracket(self, max_iter):
+        # brackets of different widths and scales stop after different
+        # numbers of iterations; the last optimum sits on its left end
+        a = np.array([0.0, 1.0, 100.0, -3.0, 1.0])
+        b = np.array([5.0, 1.0 + 1e-6, 300.0, 2.0, 2.0])
+        centers = np.array([2.0, 1.0 + 3e-7, 150.0, -0.4, 1.0])
+        lockstep_calls = []
+
+        def f(k, x):
+            lockstep_calls.append(k.size)
+            return (x - centers[k]) * (x - centers[k]) + k
+
+        x, fx = golden_min_lockstep(f, a, b, rel_tol=1e-9, max_iter=max_iter)
+        scalar_calls = []
+        for k in range(a.size):
+            def g(t, k=k):
+                scalar_calls.append(k)
+                return (t - centers[k]) * (t - centers[k]) + k
+
+            assert (x[k], fx[k]) == golden_min(g, a[k], b[k], rel_tol=1e-9, max_iter=max_iter)
+        iterations = np.bincount(scalar_calls) - 2
+        if max_iter == 200:
+            assert len(set(iterations)) > 1
+        assert len(lockstep_calls) == 1 + iterations.max()
+
+    def test_lockstep_without_brackets(self):
+        def f(k, x):
+            raise AssertionError("no bracket to evaluate")
+
+        x, fx = golden_min_lockstep(f, [], [])
+        assert x.size == 0 and fx.size == 0
+
 
 class TestSampleLocus:
     def test_grid_properties(self, session):
@@ -66,6 +101,43 @@ class TestSampleLocus:
 
     def test_static_value_real(self, session):
         assert session.summary.values[0].imag == 0.0
+
+    def test_polish_equals_one_bracket_at_a_time(
+        self, default_config, session, random_models, random_summaries
+    ):
+        # reference: every extremum polished by its own scalar golden_max
+        cases = [(session.model.M, session.summary, default_config.wmin,
+                  default_config.wmax, default_config.npoints)]
+        cases += [(m.M, s, 1e-3, 1e3, 600) for m, s in zip(random_models, random_summaries)]
+        for M, s, wmin, wmax, n in cases:
+            om = np.logspace(math.log10(wmin), math.log10(wmax), n)
+            vals = freq_response(M, om).values
+            functionals = [
+                (vals.real, lambda w: s.evaluator(w).real),
+                (-vals.real, lambda w: -s.evaluator(w).real),
+                (np.abs(vals), lambda w: abs(s.evaluator(w))),
+            ]
+            for q in PROBE_SLOPES:
+                functionals.append((
+                    vals.real - q * om * vals.imag,
+                    lambda w, q=q: s.evaluator(w).real - q * w * s.evaluator(w).imag,
+                ))
+            for track, g in functionals:
+                for i in np.nonzero((track[1:-1] >= track[:-2]) & (track[1:-1] >= track[2:]))[0] + 1:
+                    w, _ = golden_max(g, om[i - 1], om[i + 1], rel_tol=s.refine_tol * 1e-1)
+                    assert s.values[s.omegas == w].tolist() == [s.evaluator(w)]
+
+    def test_crossing_on_a_sample_is_recorded(self):
+        # 1/(s^3 + 2s^2 + s + 1) is exactly -1 at w = 1, a grid sample
+        M = StateSpace(
+            [[-2.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0], [0.0], [0.0]],
+            [[0.0, 0.0, 1.0]],
+            [[0.0]],
+        )
+        s = sample_locus(M, wmin=0.1, wmax=10.0, n=3)
+        assert s.values[s.omegas == 1.0].tolist() == [-1.0]
+        assert s.real_axis_crossings == ((0.0, 1.0), (1.0, -1.0))
 
     def test_bad_window_rejected(self, session):
         with pytest.raises(DimensionError):
@@ -295,6 +367,21 @@ class TestVerification:
         assert any(d > iv.upper for d, _ in report.failures)
         with pytest.raises(SoundnessError):
             require_sound(report)
+
+    def test_stacked_audit_equals_per_delta(self, session):
+        import dataclasses
+
+        iv = exact_bounds(session.model, session.summary)
+        bad = dataclasses.replace(iv, upper=1.0)
+        # more deltas than one stack of 8x8 matrices holds
+        n_samples = STACK_BYTES // (8 * session.model.H.size) + 52
+        report = verify_interval(session.model, bad, n_samples)
+        per_delta = []
+        for d in np.linspace(bad.lower, bad.upper, n_samples + 2)[1:-1]:
+            mr = float(np.linalg.eigvals(closed_loop_matrix(session.model, float(d))).real.max())
+            if mr >= 0.0:
+                per_delta.append((float(d), mr))
+        assert per_delta and report.failures == tuple(per_delta)
 
     def test_vacuous_verification_warns(self, session):
         iv = small_gain_bounds(session.summary)

@@ -3,6 +3,7 @@ import pytest
 
 from cgmargin.errors import DimensionError, RepresentationError
 from cgmargin.lti import (
+    STACK_BYTES,
     StateSpace,
     eigenvalues,
     feedback_unity,
@@ -13,6 +14,8 @@ from cgmargin.lti import (
     tf_from_zpk,
     tf_of_ss,
 )
+
+from conftest import random_rank_one_model
 
 G_ZEROS = (-0.0164, -0.635)
 G_POLES_PAIR = np.roots([1, 0.0136, 0.000327])
@@ -191,6 +194,39 @@ class TestFreqResponse:
             locus = freq_response(osc, [0.5, 1.0, 1.5])
         assert np.all(np.isfinite(locus.values))
         assert locus.omegas[1] != 1.0
+
+    @pytest.mark.parametrize("which", ["aircraft", "random_n32"])
+    def test_stacked_solve_equals_per_point(self, which, session):
+        if which == "aircraft":
+            M = session.model.M
+        else:
+            M = random_rank_one_model(np.random.default_rng(0), n=32).M
+        grid = np.logspace(-4, 4, 1001)
+        # the last stack is a partial one
+        assert grid.size % (STACK_BYTES // (16 * M.nstates**2)) != 0
+        locus = freq_response(M, grid)
+        per_point = [M.evaluate(1j * w)[0, 0] for w in grid]
+        assert np.array_equal(locus.omegas, grid)
+        assert np.array_equal(locus.values, per_point)
+
+    def test_zero_state_system(self):
+        gain = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.5]])
+        grid = [0.0, 1.0, 7.0]
+        locus = freq_response(gain, grid)
+        assert np.array_equal(locus.values, [gain.evaluate(1j * w)[0, 0] for w in grid])
+
+    def test_pole_inside_a_stack_moves_only_that_sample(self):
+        osc = StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        grid = np.concatenate(
+            [np.linspace(0.5, 0.99, 50), [1.0], np.linspace(1.01, 1.5, 50)]
+        )
+        assert grid.size <= STACK_BYTES // (16 * 2**2)
+        with pytest.warns(UserWarning, match="imaginary-axis pole") as caught:
+            locus = freq_response(osc, grid)
+        assert len(caught) == 1
+        assert np.array_equal(locus.omegas != grid, grid == 1.0)
+        per_point = [osc.evaluate(1j * w)[0, 0] for w in locus.omegas]
+        assert np.array_equal(locus.values, per_point)
 
 
 class TestEigen:
