@@ -123,7 +123,8 @@ class TestSampleLocus:
                     lambda w, q=q: s.evaluator(w).real - q * w * s.evaluator(w).imag,
                 ))
             for track, g in functionals:
-                for i in np.nonzero((track[1:-1] >= track[:-2]) & (track[1:-1] >= track[2:]))[0] + 1:
+                peak = (track[1:-1] >= track[:-2]) & (track[1:-1] >= track[2:])
+                for i in np.nonzero(peak)[0] + 1:
                     w, _ = golden_max(g, om[i - 1], om[i + 1], rel_tol=s.refine_tol * 1e-1)
                     assert s.values[s.omegas == w].tolist() == [s.evaluator(w)]
 
@@ -378,7 +379,8 @@ class TestVerification:
         report = verify_interval(session.model, bad, n_samples)
         per_delta = []
         for d in np.linspace(bad.lower, bad.upper, n_samples + 2)[1:-1]:
-            mr = float(np.linalg.eigvals(closed_loop_matrix(session.model, float(d))).real.max())
+            matrix = closed_loop_matrix(session.model, float(d))
+            mr = float(np.linalg.eigvals(matrix).real.max())
             if mr >= 0.0:
                 per_delta.append((float(d), mr))
         assert per_delta and report.failures == tuple(per_delta)
