@@ -35,10 +35,9 @@ from .lti import (
     StateSpace,
     TransferFunction,
     eigenvalues,
-    feedback_unity,
     freq_response,
+    imaginary_zeros,
     is_hurwitz,
-    series,
     ss_realize,
     tf_from_zpk,
     tf_of_ss,
@@ -72,8 +71,8 @@ __all__ = [
     "dimensionalize",
     "eigenvalues",
     "exact_bounds",
-    "feedback_unity",
     "freq_response",
+    "imaginary_zeros",
     "is_hurwitz",
     "load_default_model",
     "load_model_file",
@@ -84,7 +83,6 @@ __all__ = [
     "run_analysis",
     "sample_locus",
     "scan_exact_bounds",
-    "series",
     "small_gain_bounds",
     "ss_realize",
     "tf_from_zpk",

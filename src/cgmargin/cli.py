@@ -257,9 +257,12 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
         )
         status = "PASS" if report.passed else "FAIL"
         detail = ""
+        if report.crossings:
+            d, w = report.crossings[0]
+            detail += f"  boundary crossing inside at delta={d:.6g} (w={w:.6g})"
         if report.failures:
             d, mr = report.failures[0]
-            detail = f"  first failure at delta={d:.6g} (max Re eig {mr:.3e})"
+            detail += f"  first failure at delta={d:.6g} (max Re eig {mr:.3e})"
         click.echo(f"{name:<14} {status} ({report.n_checked} samples){detail}")
         any_failed = any_failed or not report.passed
     if any_failed:

@@ -4,7 +4,8 @@ Implements the exact eigenvalue analysis plus the small gain, circle,
 positive real, and Popov graphical criteria.  All graphical bounds come
 from real-axis intercepts of enclosing geometry: a positive intercept x
 maps to the lower bound -1/x and a negative intercept to the upper
-bound -1/x.
+bound -1/x.  The exact bounds are the same map applied to the real values
+of M(jw) themselves, found as the jw-axis zeros of M(s) - M(-s).
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, SoundnessError, UnstableFixedPartError
-from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, is_hurwitz
+from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, imaginary_zeros, is_hurwitz
 from .mdelta import MDeltaModel, closed_loop_matrix
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-CROSSING_IM_TOL = 1e-9
 
 # fixed Popov-slope probes used while sampling, so the base grid is
 # refined near the features every criterion reads off later
 PROBE_SLOPES = (-10.0, -1.0, -0.1, -0.01, 0.01, 0.1, 1.0, 10.0)
 
 CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
+
+# verify_interval flags a boundary delta* only inside an interval by more than
+# this share of |delta*|: a graphical bound may sit on the exact one (Popov
+# upper does on the aircraft), measured to within 3.4e-16 relative
+INSIDE_RTOL = 1e-9
 
 
 def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):
@@ -99,7 +103,6 @@ class LocusSummary:
     popov_ordinate: np.ndarray  # w * Im[M(jw)] per sample
     x_max: float                # max Re over the locus
     x_min: float                # min Re over the locus
-    real_axis_crossings: tuple  # of (omega, x) with Im ~ 0, includes w = 0
     evaluator: object = field(repr=False)   # callable w -> complex M(jw)
     refine_tol: float = 1e-8
 
@@ -121,7 +124,8 @@ class VerificationReport:
     criterion: str
     passed: bool
     n_checked: int
-    failures: tuple   # of (delta, max_real_part)
+    failures: tuple   # of (delta, max_real_part) at the sampled deltas
+    crossings: tuple = ()   # of (delta, omega): eigenvalue on the boundary
     notes: str = ""
 
 
@@ -146,12 +150,11 @@ def sample_locus(
     """Sample M(jw) on a log grid and refine near the decisive features.
 
     The base grid of n log-spaced points on [wmin, wmax] is augmented by
-    w = 0 and adaptively refined.  A sample with Im = 0 is a real-axis
-    crossing; a sign change of Im between samples is bisected to
-    |Im| < 1e-9.  Local extrema of Re, -Re, |M|, and a fixed set of
-    Popov-slope probes Re - q*w*Im are polished by golden-section search
-    on the continuous response, all in lockstep: one stacked response per
-    iteration across every bracket (``golden_min_lockstep``).
+    w = 0 and adaptively refined.  Local extrema of Re, -Re, |M|, and a
+    fixed set of Popov-slope probes Re - q*w*Im are polished by
+    golden-section search on the continuous response, all in lockstep: one
+    stacked response per iteration across every bracket
+    (``golden_min_lockstep``).
     """
     if wmin <= 0 or wmax <= wmin or n < 2:
         raise DimensionError("need 0 < wmin < wmax and n >= 2")
@@ -169,21 +172,8 @@ def sample_locus(
     vals = locus.values
 
     # w = 0 sample: real by construction for real matrices
-    m0 = ev(0.0)
     extra_w: list[float] = [0.0]
-    extra_v: list[complex] = [complex(m0.real)]
-
-    # real-axis crossings: samples on the axis, and sign changes of Im
-    # bisected on the continuous response
-    im = vals.imag
-    on_axis = np.nonzero((im == 0.0) & (om > 0.0))[0]
-    crossings = [(0.0, m0.real)]
-    crossings += [(float(om[i]), float(vals[i].real)) for i in on_axis]
-    for i in np.nonzero(np.sign(im[:-1]) * np.sign(im[1:]) < 0)[0]:
-        wc, value = _bisect_crossing(ev, om[i], om[i + 1])
-        crossings.append((wc, value.real))
-        extra_w.append(wc)
-        extra_v.append(value)
+    extra_v: list[complex] = [complex(ev(0.0).real)]
 
     # extrema polishing: each local maximum on the stored grid of Re, -Re,
     # |M| and the probe functionals Re - q*w*Im brackets one golden-section
@@ -225,25 +215,9 @@ def sample_locus(
         popov_ordinate=all_w * all_v.imag,
         x_max=float(all_v.real.max()),
         x_min=float(all_v.real.min()),
-        real_axis_crossings=tuple(sorted(crossings)),
         evaluator=ev,
         refine_tol=refine_tol,
     )
-
-
-def _bisect_crossing(ev, wlo: float, whi: float):
-    flo = ev(wlo).imag
-    for _ in range(200):
-        wm = 0.5 * (wlo + whi)
-        vm = ev(wm)
-        if abs(vm.imag) < CROSSING_IM_TOL:
-            return wm, vm
-        if np.sign(vm.imag) == np.sign(flo):
-            wlo = wm
-            flo = vm.imag
-        else:
-            whi = wm
-    return wm, vm
 
 
 def _bracket(omegas: np.ndarray, i: int):
@@ -401,7 +375,9 @@ def _optimize_popov_line(summary: LocusSummary, ev, side: int):
     # polish every near-binding peak at q_opt on the continuous response and
     # re-optimize q over the samples plus every response the polish saw,
     # until the continuous extremum at q_opt is within 1e-9 of the sampled
-    # one; the reported intercept is always that continuous extremum
+    # one; the reported intercept is always that continuous extremum.  Of
+    # samples within 1e-9 relative only the first is kept: two golden iterates
+    # an ulp apart make a false sampled peak whose bracket misses the true one
     for attempt in range(9):
         f = side * (X - q_opt * OY)
         seen = {}
@@ -416,6 +392,8 @@ def _optimize_popov_line(summary: LocusSummary, ev, side: int):
         w_seen = np.array(list(seen))
         m_seen = np.array(list(seen.values()))
         omegas, k = np.unique(np.concatenate([omegas, w_seen]), return_index=True)
+        apart = np.concatenate([[True], np.diff(omegas) > 1e-9 * omegas[1:]])
+        omegas, k = omegas[apart], k[apart]
         X = np.concatenate([X, m_seen.real])[k]
         OY = np.concatenate([OY, w_seen * m_seen.imag])[k]
         q_opt, _ = golden_min(
@@ -491,66 +469,58 @@ def _bisect_boundary(model, stable: float, unstable: float, tol: float, margin: 
     return 0.5 * (stable + unstable)
 
 
+def _axis_crossings(model: MDeltaModel, margin: float) -> list:
+    """Every (w, x) with x = M(jw - margin) real, w >= 0 and |x| > 1e-12.
+
+    These are w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
+    (diag(H, -H), [b; b], [c, c]) with H shifted to H + margin*I.
+    """
+    M = model.M
+    H = M.A + margin * np.eye(M.nstates)
+    b, c = M.B[:, 0], M.C[0]
+    zero = np.zeros_like(H)
+    w = imaginary_zeros(
+        np.block([[H, zero], [zero, -H]]), np.concatenate([b, b]), np.concatenate([c, c])
+    )
+    w = np.concatenate([[0.0], w[w > 0]])
+    x = freq_values(StateSpace(H, M.B, M.C, M.D), w).real
+    return [(float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12]
+
+
 def exact_bounds(
     model: MDeltaModel,
-    summary: LocusSummary,
-    delta_tol: float = 1e-6,
-    search_limit: float = 1e4,
+    summary: LocusSummary | None = None,
     margin: float = 0.0,
 ) -> StabilityInterval:
     """Maximal open interval of delta around 0 with stable H + delta*Qcal.
 
-    Candidate boundaries come from the real-axis crossings of M(jw) via
-    delta = -1/x; each candidate is certified and polished by bisection
-    on the eigenvalue stability predicate.  A side with no destabilizing
-    crossing is confirmed stable out to ``search_limit`` and flagged
-    unbounded.
+    An eigenvalue of H + delta*Qcal lies on the line Re s = -margin exactly
+    when delta = -1/x for a real value x of M(jw - margin) (zero exclusion;
+    Barmish, New Tools for Robustness of Linear Systems, 1994).  So each
+    bound is the nearest such -1/x on its side of 0, and a side with none is
+    unbounded.  The witnesses ``upper_crossing`` and ``lower_crossing`` are
+    the (w, x) of each bound.
+
+    ``summary`` is ignored: the interval is read off the realization of M,
+    not off a sampled locus.  It stays for callers that pass it
+    positionally.
     """
     if _max_real_part(model, 0.0) >= -margin:
         raise UnstableFixedPartError("nominal closed loop is not stable")
-    candidates = sorted(
-        -1.0 / x for (_, x) in summary.real_axis_crossings if abs(x) > 1e-12
+    crossings = _axis_crossings(model, margin)
+    upper, up_cross = min(
+        ((-1.0 / x, (w, x)) for w, x in crossings if x < 0), default=(math.inf, None)
     )
-    pos = [d for d in candidates if d > 0]
-    neg = [d for d in reversed(candidates) if d < 0]
-    crossing_map = {
-        -1.0 / x: (w, x)
-        for (w, x) in summary.real_axis_crossings
-        if abs(x) > 1e-12
-    }
-
-    def polish(cands, sign):
-        last_stable = 0.0
-        for c in cands:
-            probe = c * (1 + 1e-3)
-            if _max_real_part(model, probe) >= -margin:
-                return (
-                    _bisect_boundary(model, last_stable, probe, delta_tol, margin),
-                    crossing_map.get(c),
-                    c,
-                )
-            last_stable = probe
-        # no crossing destabilizes: confirm out to the search limit
-        limit = sign * search_limit
-        if _max_real_part(model, limit) >= -margin:
-            return _bisect_boundary(model, last_stable, limit, delta_tol, margin), None, None
-        return None, None, None
-
-    upper, up_cross, up_raw = polish(pos, +1)
-    lower, lo_cross, lo_raw = polish(neg, -1)
-    witnesses = {
-        "upper_crossing": up_cross,
-        "upper_from_crossing": up_raw,
-        "lower_crossing": lo_cross,
-        "lower_from_crossing": lo_raw,
-    }
+    lower, lo_cross = max(
+        ((-1.0 / x, (w, x)) for w, x in crossings if x > 0), default=(-math.inf, None)
+    )
     return StabilityInterval(
-        lower=-math.inf if lower is None else lower,
-        upper=math.inf if upper is None else upper,
+        lower=lower,
+        upper=upper,
         criterion="exact",
-        witnesses=witnesses,
-        lower_unbounded=lower is None,
-        upper_unbounded=upper is None,
+        witnesses={"upper_crossing": up_cross, "lower_crossing": lo_cross},
+        lower_unbounded=lo_cross is None,
+        upper_unbounded=up_cross is None,
     )
 
 
@@ -599,23 +569,35 @@ def verify_interval(
     n_samples: int,
     margin: float = 0.0,
 ) -> VerificationReport:
-    """Audit an interval: interior deltas must keep H + delta*Qcal stable.
+    """Audit an interval: every delta in it must keep H + delta*Qcal stable.
 
-    For the exact interval the matrix must additionally be unstable just
-    outside each finite bound (at bound +- 1e-3*|bound|).
+    Two routes.  ``crossings`` holds each delta* = -1/x, x a real value of
+    M(jw - margin), that lies inside the interval by more than
+    INSIDE_RTOL*|delta*|: an eigenvalue sits on Re s = -margin there (see
+    exact_bounds), so this verdict covers the whole interval.
+    ``failures`` holds the n_samples evenly spaced interior deltas that
+    are not stable; for the exact interval the matrix must additionally be
+    unstable just outside each finite bound (at bound +- 1e-3*|bound|).
+    The report passes only if both are empty.
     """
     if interval.lower_unbounded or interval.upper_unbounded:
         raise ValueError("verify_interval requires a finite interval")
+    crossings = tuple(
+        (-1.0 / x, w)
+        for w, x in _axis_crossings(model, margin)
+        if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
+    )
     if n_samples == 0:
         warnings.warn(
-            f"{interval.criterion}: n_samples = 0, verification is vacuous",
+            f"{interval.criterion}: n_samples = 0, the sampled audit is vacuous",
             stacklevel=2,
         )
         return VerificationReport(
             criterion=interval.criterion,
-            passed=True,
+            passed=not crossings,
             n_checked=0,
             failures=(),
+            crossings=crossings,
             notes="vacuous (no samples)",
         )
     if interval.upper <= interval.lower:
@@ -641,14 +623,21 @@ def verify_interval(
                 notes = "expected instability just outside the exact bound"
     return VerificationReport(
         criterion=interval.criterion,
-        passed=not failures,
+        passed=not (failures or crossings),
         n_checked=len(deltas),
         failures=tuple(failures),
+        crossings=crossings,
         notes=notes,
     )
 
 
 def require_sound(report: VerificationReport) -> None:
+    if report.crossings:
+        d, w = report.crossings[0]
+        raise SoundnessError(
+            f"{report.criterion} interval contains delta = {d}, where an "
+            f"eigenvalue reaches the stability boundary at w = {w}"
+        )
     if not report.passed:
         d, mr = report.failures[0]
         raise SoundnessError(

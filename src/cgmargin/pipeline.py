@@ -119,9 +119,7 @@ def compute_interval(
     session: AnalysisSession, criterion: str, config: AnalysisConfig
 ) -> StabilityInterval:
     if criterion == "exact":
-        return criteria.exact_bounds(
-            session.model, session.summary, margin=config.stability_margin
-        )
+        return criteria.exact_bounds(session.model, margin=config.stability_margin)
     if criterion == "small_gain":
         return criteria.small_gain_bounds(session.summary)
     if criterion == "circle":

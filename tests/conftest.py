@@ -40,15 +40,20 @@ def dense_response(M, omegas):
     return out
 
 
+def rank_one_model(H, Q):
+    """M-Delta model of H + delta*Q for a rank-1 Q."""
+    H = np.asarray(H, dtype=float)
+    sigma, v, w = rank_one_factor(Q)
+    return MDeltaModel(
+        H=H, Qcal=Q, sigma=sigma, v=v, w=w, M=m_transfer(H, sigma, v, w)
+    )
+
+
 def random_rank_one_model(rng, n=6, shift=0.5):
     """Random stable state matrix with a random rank-1 perturbation."""
     A = rng.normal(size=(n, n))
     A = A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
-    Q = np.outer(rng.normal(size=n), rng.normal(size=n))
-    sigma, v, w = rank_one_factor(Q)
-    return MDeltaModel(
-        H=A, Qcal=Q, sigma=sigma, v=v, w=w, M=m_transfer(A, sigma, v, w)
-    )
+    return rank_one_model(A, np.outer(rng.normal(size=n), rng.normal(size=n)))
 
 
 @pytest.fixture(scope="session")

@@ -269,7 +269,7 @@ def test_criterion_8_property_suite(session, result, random_models, random_summa
     checks = []
     models = [(session.model, session.summary, result.intervals["exact"])]
     for m, s in zip(random_models, random_summaries):
-        models.append((m, s, exact_bounds(m, s, search_limit=1e6)))
+        models.append((m, s, exact_bounds(m, s)))
 
     worst_locus = 0.0
     worst_rank = 0.0

@@ -166,6 +166,21 @@ class TestVerifyCommand:
         assert "exact" in result.output and "FAIL" in result.output
         assert "first failure at delta=" in result.output
 
+    def test_crossing_inside_is_named(self, runner, tmp_path):
+        # every sample of (-16.46, 0.5) is stable; the exact lower bound is not
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(
+            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
+            "popov,-16.46,0.5,0,0,\n"
+        )
+        result = runner.invoke(
+            main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert "popov          FAIL" in result.output
+        assert "boundary crossing inside at delta=-16.3939 (w=0.0209409)" in result.output
+        assert "first failure" not in result.output
+
     def test_skips_unbounded_rows(self, runner, tmp_path):
         csv_path = tmp_path / "report.csv"
         csv_path.write_text(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -20,12 +21,69 @@ from cgmargin.criteria import (
     verify_interval,
 )
 from cgmargin.errors import DimensionError, SoundnessError, UnstableFixedPartError
-from cgmargin.lti import STACK_BYTES, StateSpace, freq_response, ss_realize, tf_from_zpk
+from cgmargin.lti import (
+    STACK_BYTES,
+    StateSpace,
+    freq_response,
+    imaginary_zeros,
+    ss_realize,
+    tf_from_zpk,
+)
 from cgmargin.mdelta import closed_loop_matrix
+from cgmargin.pipeline import AnalysisConfig, build_session, run_analysis
 
-from conftest import dense_response
+from conftest import dense_response, random_rank_one_model, rank_one_model
 
 DENSE_OMEGAS = np.logspace(-4, 4, 1_000_000)
+
+# 1/(s^3 + 2s^2 + s + 1): relative degree 3, M(0) = 1 and M(j1) = -1 exactly
+REL3 = StateSpace(
+    [[-2.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[1.0], [0.0], [0.0]],
+    [[0.0, 0.0, 1.0]],
+    [[0.0]],
+)
+
+
+def real_value_frequencies(M):
+    """The jw-axis zeros of M(s) - M(-s), where M(jw) is real."""
+    A, b, c = M.A, M.B[:, 0], M.C[0]
+    zero = np.zeros_like(A)
+    return imaginary_zeros(np.block([[A, zero], [zero, -A]]), np.r_[b, b], np.r_[c, c])
+
+
+def _hard_case(name):
+    """A model of one hard case, with the stability margin to analyse it at."""
+    if name == "relative_degree_3":
+        return rank_one_model(REL3.A, -REL3.B @ REL3.C), 0.0
+    rng = np.random.default_rng(11)
+    if name == "cb_zero":
+        H = rng.normal(size=(8, 8))
+        H -= (np.linalg.eigvals(H).real.max() + 0.5) * np.eye(8)
+        b, c = rng.normal(size=8), rng.normal(size=8)
+        c -= (c @ b) / (b @ b) * b
+        return rank_one_model(H, -np.outer(b, c)), 0.0
+    if name == "light_damping":
+        H = np.zeros((4, 4))
+        H[:2, :2] = [[-1e-3, 1.0], [-1.0, -1e-3]]
+        H[2:, 2:] = [[-0.5, 2.0], [-2.0, -0.5]]
+        return rank_one_model(H, -np.outer([1.0, 0.3, -0.7, 0.4], [0.5, 1.0, 0.8, -0.2])), 0.0
+    if name == "jordan_block":
+        H = -np.eye(4) + np.diag(np.ones(3), 1)
+        return rank_one_model(H, -np.outer([0.2, -0.5, 1.0, 0.7], [1.0, 0.4, -0.3, 0.9])), 0.0
+    if name == "random_n128":
+        return random_rank_one_model(np.random.default_rng(0), n=128), 0.0
+    if name == "flat_at_origin":
+        # M = (3s + 1)/(s + 1)^3 has M'(0) = 0, so M(s) - M(-s) has a triple
+        # zero at s = 0 that the eigenvalue solve leaves off the axis; the
+        # lower bound -1/M(0) must still be found
+        M = ss_realize(tf_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0))
+        return rank_one_model(M.A, -M.B @ M.C), 0.0
+    return None, 0.005   # the aircraft, at a stability margin
+
+
+HARD_CASES = ("relative_degree_3", "cb_zero", "light_damping", "jordan_block",
+              "random_n128", "flat_at_origin", "aircraft_margin")
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +150,16 @@ class TestSampleLocus:
         assert s.x_min <= s.values.real.min() + 1e-15
 
     def test_crossings_on_real_axis(self, session):
+        # M(jw) is real at each zero of M(s) - M(-s), and every sign change
+        # of Im M between samples brackets one of them
         s = session.summary
-        assert s.real_axis_crossings[0][0] == 0.0
-        for w, x in s.real_axis_crossings[1:]:
-            mv = s.evaluator(w)
-            assert abs(mv.imag) < 1e-9
-            assert mv.real == pytest.approx(x, rel=1e-12)
+        w = real_value_frequencies(session.model.M)
+        assert w[0] == 0.0 and w.size == 3
+        for mv in map(s.evaluator, w):
+            assert abs(mv.imag) <= 1e-10 * abs(mv)
+        im = s.values.imag
+        for i in np.nonzero(np.sign(im[:-1]) * np.sign(im[1:]) < 0)[0]:
+            assert np.any((s.omegas[i] < w) & (w < s.omegas[i + 1]))
 
     def test_static_value_real(self, session):
         assert session.summary.values[0].imag == 0.0
@@ -129,16 +191,11 @@ class TestSampleLocus:
                     assert s.values[s.omegas == w].tolist() == [s.evaluator(w)]
 
     def test_crossing_on_a_sample_is_recorded(self):
-        # 1/(s^3 + 2s^2 + s + 1) is exactly -1 at w = 1, a grid sample
-        M = StateSpace(
-            [[-2.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-            [[1.0], [0.0], [0.0]],
-            [[0.0, 0.0, 1.0]],
-            [[0.0]],
-        )
-        s = sample_locus(M, wmin=0.1, wmax=10.0, n=3)
+        # the crossing of REL3 at w = 1 is a grid sample; the sample and the
+        # zero of M(s) - M(-s) agree
+        s = sample_locus(REL3, wmin=0.1, wmax=10.0, n=3)
         assert s.values[s.omegas == 1.0].tolist() == [-1.0]
-        assert s.real_axis_crossings == ((0.0, 1.0), (1.0, -1.0))
+        assert real_value_frequencies(REL3) == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_bad_window_rejected(self, session):
         with pytest.raises(DimensionError):
@@ -230,17 +287,33 @@ class TestPositiveReal:
         assert iv.lower == pytest.approx(-1.0, rel=1e-6)
 
 
+def _assert_popov_lines_cover(iv, dense):
+    w = iv.witnesses
+    f_plus = dense.real - w["q_plus"] * DENSE_OMEGAS * dense.imag
+    f_minus = dense.real - w["q_minus"] * DENSE_OMEGAS * dense.imag
+    # each reported line must certify its intercept on the continuous
+    # locus; the slack, relative to the intercept, only absorbs the
+    # rounding difference between the oracle and the solver path
+    assert f_plus.max() <= w["c_plus"] + 1e-8 * abs(w["c_plus"])
+    assert f_minus.min() >= w["c_minus"] - 1e-8 * abs(w["c_minus"])
+
+
 class TestPopov:
     def test_lines_cover_dense_sweep(self, session, dense):
+        _assert_popov_lines_cover(popov_bounds(session.summary), dense)
+
+    def test_lines_cover_dense_sweep_at_retuned_gains(self):
+        # gains where two Popov samples an ulp apart once made the polish at
+        # q_minus miss the continuous minimum near w = 0.805 by 3.3e-8, which
+        # put the Popov upper bound past the exact one
+        config = AnalysisConfig(
+            kq=1.9001495835953641, kalpha=1.917276013953619,
+            controller_gain=3.2884724391826543,
+        )
+        session = build_session(config)
         iv = popov_bounds(session.summary)
-        w = iv.witnesses
-        f_plus = dense.real - w["q_plus"] * DENSE_OMEGAS * dense.imag
-        f_minus = dense.real - w["q_minus"] * DENSE_OMEGAS * dense.imag
-        # each reported line must certify its intercept on the continuous
-        # locus; the slack, relative to the intercept, only absorbs the
-        # rounding difference between the oracle and the solver path
-        assert f_plus.max() <= w["c_plus"] + 1e-8 * abs(w["c_plus"])
-        assert f_minus.min() >= w["c_minus"] - 1e-8 * abs(w["c_minus"])
+        _assert_popov_lines_cover(iv, dense_response(session.model.M, DENSE_OMEGAS))
+        assert iv.upper <= exact_bounds(session.model).upper
 
     def test_slope_optimality_on_grid(self, session, dense):
         """2-D grid oracle: no slope on a coarse grid does better than the
@@ -296,13 +369,59 @@ class TestExact:
         assert tight.upper < plain.upper
 
     def test_unstable_nominal_rejected(self, session):
-        import dataclasses
-
         bad = dataclasses.replace(
             session.model, H=np.eye(8), M=session.model.M
         )
         with pytest.raises(UnstableFixedPartError):
             exact_bounds(bad, session.summary)
+
+    def test_aircraft_interval(self, session):
+        iv = exact_bounds(session.model)
+        assert iv.lower == pytest.approx(-16.3939420, abs=1e-8)
+        assert iv.upper == pytest.approx(0.51230374, abs=1e-8)
+        assert iv.witnesses["lower_crossing"][0] == pytest.approx(0.0209409, rel=1e-5)
+        assert iv.witnesses["upper_crossing"][0] == pytest.approx(0.8483107, rel=1e-6)
+
+    @pytest.mark.parametrize("case", HARD_CASES)
+    def test_hard_case_matches_scan(self, case, session):
+        model, margin = _hard_case(case)
+        model = model or session.model
+        iv = exact_bounds(model, margin=margin)
+        # the scan marches in steps of 0.05 at n = 128 to keep its cost down
+        step = 0.05 if model.H.shape[0] > 32 else 0.01
+        scan = scan_exact_bounds(model, lo=-100.0, hi=100.0, step=step, margin=margin)
+        for side in ("lower", "upper"):
+            assert getattr(iv, f"{side}_unbounded") == getattr(scan, f"{side}_unbounded")
+            if not getattr(iv, f"{side}_unbounded"):
+                assert getattr(iv, side) == pytest.approx(getattr(scan, side), abs=1e-6)
+
+    @pytest.mark.parametrize("case", HARD_CASES)
+    def test_hard_case_is_sharp(self, case, session):
+        model, margin = _hard_case(case)
+        model = model or session.model
+        iv = exact_bounds(model, margin=margin)
+        bounds = [b for b in (iv.lower, iv.upper) if math.isfinite(b)]
+        assert bounds
+        for bound in bounds:
+            inside = np.linalg.eigvals(closed_loop_matrix(model, bound * (1 - 1e-4)))
+            outside = np.linalg.eigvals(closed_loop_matrix(model, bound * (1 + 1e-4)))
+            assert inside.real.max() < -margin < outside.real.max()
+
+    def test_relative_degree_3_interval(self):
+        # s^3 + 2s^2 + s + 1 + delta is Hurwitz exactly for -1 < delta < 1
+        iv = exact_bounds(_hard_case("relative_degree_3")[0])
+        assert (iv.lower, iv.upper) == pytest.approx((-1.0, 1.0), rel=1e-12)
+        assert iv.witnesses["upper_crossing"] == pytest.approx((1.0, -1.0), rel=1e-12)
+
+    def test_window_independent(self):
+        def exact(**window):
+            config = AnalysisConfig(criteria=("exact",), **window)
+            iv = run_analysis(config).intervals["exact"]
+            return iv.lower, iv.upper
+
+        base = exact()
+        for window in ({"wmax": 0.01}, {"wmin": 1.0}, {"npoints": 8}):
+            assert exact(**window) == base
 
 
 class TestOrderingProperties:
@@ -323,7 +442,7 @@ class TestOrderingProperties:
 
     def test_random_models_sound(self, random_models, random_summaries):
         for model, summary in zip(random_models, random_summaries):
-            exact = exact_bounds(model, summary, search_limit=1e6)
+            exact = exact_bounds(model, summary)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 ivs = [
@@ -359,8 +478,6 @@ class TestVerification:
         require_sound(report)
 
     def test_inflated_interval_fails(self, session):
-        import dataclasses
-
         iv = exact_bounds(session.model, session.summary)
         bad = dataclasses.replace(iv, upper=1.0)
         report = verify_interval(session.model, bad, 100)
@@ -370,8 +487,6 @@ class TestVerification:
             require_sound(report)
 
     def test_stacked_audit_equals_per_delta(self, session):
-        import dataclasses
-
         iv = exact_bounds(session.model, session.summary)
         bad = dataclasses.replace(iv, upper=1.0)
         # more deltas than one stack of 8x8 matrices holds
@@ -384,6 +499,17 @@ class TestVerification:
             if mr >= 0.0:
                 per_delta.append((float(d), mr))
         assert per_delta and report.failures == tuple(per_delta)
+
+    def test_interval_past_a_crossing_fails(self, session):
+        # every sample of (-16.46, 0.5) is stable; the eigenvalue reaching the
+        # axis at the exact lower bound lies between two of them
+        iv = dataclasses.replace(popov_bounds(session.summary), lower=-16.46, upper=0.5)
+        report = verify_interval(session.model, iv, 50)
+        exact = exact_bounds(session.model)
+        assert not report.passed and report.failures == ()
+        assert report.crossings == ((exact.lower, exact.witnesses["lower_crossing"][0]),)
+        with pytest.raises(SoundnessError, match="stability boundary"):
+            require_sound(report)
 
     def test_vacuous_verification_warns(self, session):
         iv = small_gain_bounds(session.summary)

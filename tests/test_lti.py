@@ -6,10 +6,9 @@ from cgmargin.lti import (
     STACK_BYTES,
     StateSpace,
     eigenvalues,
-    feedback_unity,
     freq_response,
+    imaginary_zeros,
     is_hurwitz,
-    series,
     ss_realize,
     tf_from_zpk,
     tf_of_ss,
@@ -104,66 +103,6 @@ class TestSsRealize:
                 assert abs(real - direct) <= 1e-8 * abs(direct)
 
 
-class TestSeries:
-    def test_aircraft_loop_has_eight_states(self, g_tf, k_tf):
-        loop = series(ss_realize(g_tf), ss_realize(k_tf))
-        assert loop.nstates == 8
-
-    def test_block_structure(self, g_tf, k_tf):
-        g, k = ss_realize(g_tf), ss_realize(k_tf)
-        loop = series(g, k)
-        assert np.array_equal(loop.A[:4, :4], g.A)
-        assert np.array_equal(loop.A[4:, 4:], k.A)
-        assert np.array_equal(loop.A[4:, :4], np.zeros((4, 4)))
-        assert np.allclose(loop.A[:4, 4:], g.B @ k.C)
-
-    def test_identity_static_gain(self, g_tf):
-        g = ss_realize(g_tf)
-        same = series(g, ss_realize(tf_from_zpk([], [], 1.0)))
-        for w in (0.1, 1.0, 10.0):
-            assert np.allclose(
-                same.evaluate(1j * w), g.evaluate(1j * w), rtol=1e-12
-            )
-
-    def test_product_evaluation(self, g_tf, k_tf):
-        loop = series(ss_realize(g_tf), ss_realize(k_tf))
-        got = loop.evaluate(1j)[0, 0]
-        want = g_tf(1j) * k_tf(1j)
-        assert abs(got - want) <= 1e-9 * abs(want)
-
-    def test_dimension_mismatch(self):
-        a = StateSpace([[-1.0]], [[1.0]], [[1.0], [1.0]], [[0.0], [0.0]])
-        b = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-        with pytest.raises(DimensionError):
-            series(b, a)
-
-
-class TestFeedbackUnity:
-    def test_integrator(self):
-        cl = feedback_unity(StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]]))
-        assert cl.A.tolist() == [[-1.0]]
-
-    def test_aircraft_loop_stable(self, g_tf, k_tf):
-        loop = series(ss_realize(g_tf), ss_realize(k_tf))
-        cl = feedback_unity(loop)
-        assert is_hurwitz(cl.A)
-
-    def test_closed_loop_poles_match_polynomial_roots(self, g_tf, k_tf):
-        loop = series(ss_realize(g_tf), ss_realize(k_tf))
-        cl = feedback_unity(loop)
-        num = np.polymul(g_tf.num, k_tf.num)
-        den = np.polymul(g_tf.den, k_tf.den)
-        char = den + np.concatenate([np.zeros(len(den) - len(num)), num])
-        got = np.sort_complex(np.linalg.eigvals(cl.A))
-        want = np.sort_complex(np.roots(char))
-        assert np.allclose(got, want, atol=1e-7)
-
-    def test_biproper_rejected(self):
-        sys = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(DimensionError):
-            feedback_unity(sys)
-
-
 class TestFreqResponse:
     def test_first_order_lag_analytic(self):
         lag = ss_realize(tf_from_zpk([], [-1.0], 1.0))
@@ -242,6 +181,31 @@ class TestEigen:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             eigenvalues(np.zeros((2, 3)))
+
+
+class TestImaginaryZeros:
+    @staticmethod
+    def zeros_of(zeros, poles):
+        ss = ss_realize(tf_from_zpk(zeros, poles, 2.0))
+        return imaginary_zeros(ss.A, ss.B, ss.C)
+
+    def test_pair_and_origin(self):
+        w = self.zeros_of([0.0, 1j, -1j, -3.0], [-1.0, -2.0, -0.5 + 1j, -0.5 - 1j, -4.0])
+        assert w == pytest.approx([0.0, 1.0], abs=1e-12)
+
+    def test_off_axis_zeros_dropped(self):
+        assert self.zeros_of([-1e-3 + 1j, -1e-3 - 1j, 2.0], [-1.0, -2.0, -3.0]).size == 0
+
+    def test_relative_degree_three_has_no_origin_zero(self):
+        # cb = cAb = 0: deflation by the first nonzero Markov parameter
+        # leaves the one true zero and nothing at s = 0
+        w = self.zeros_of([5j, -5j], [-1.0, -2.0, -3.0, -4.0, -5.0])
+        assert w == pytest.approx([5.0], rel=1e-12)
+
+    def test_identically_zero(self):
+        A = np.diag([-1.0, -2.0])
+        assert imaginary_zeros(A, [1.0, 0.0], [0.0, 1.0]).size == 0
+        assert imaginary_zeros(np.zeros((0, 0)), [], []).size == 0
 
 
 class TestTfOfSs:
