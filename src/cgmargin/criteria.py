@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,7 +285,10 @@ def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityIn
         mv = ev(w)
         return math.hypot(mv.real - x_c, mv.imag)
 
-    r_c = _polish_max(summary, np.sqrt((X - x_c) ** 2 + Y ** 2), dist)
+    # the optimal circle touches the locus at two or more near-equal peaks,
+    # so every one that may bind is polished
+    d = np.sqrt((X - x_c) ** 2 + Y ** 2)
+    r_c = max([float(d.max())] + _polish_binding_peaks(summary.omegas, d, dist))
     return _interval_from_intercepts(
         pos=x_c + r_c,
         neg=x_c - r_c,
@@ -469,22 +473,33 @@ def _bisect_boundary(model, stable: float, unstable: float, tol: float, margin: 
     return 0.5 * (stable + unstable)
 
 
-def _axis_crossings(model: MDeltaModel, margin: float) -> list:
+# crossing sets per model and margin: models are immutable, and an entry
+# goes when its model does
+_CROSSINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _axis_crossings(model: MDeltaModel, margin: float) -> tuple:
     """Every (w, x) with x = M(jw - margin) real, w >= 0 and |x| > 1e-12.
 
     These are w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
-    (diag(H, -H), [b; b], [c, c]) with H shifted to H + margin*I.
+    (diag(H, -H), [b; b], [c, c]) with H shifted to H + margin*I.  The set
+    is computed once per model and margin.
     """
+    memo = _CROSSINGS.setdefault(model, {})
+    if margin in memo:
+        return memo[margin]
     M = model.M
-    H = M.A + margin * np.eye(M.nstates)
-    b, c = M.B[:, 0], M.C[0]
+    if margin != 0.0:
+        M = StateSpace(M.A + margin * np.eye(M.nstates), M.B, M.C, M.D)
+    H, b, c = M.A, M.B[:, 0], M.C[0]
     zero = np.zeros_like(H)
     w = imaginary_zeros(
         np.block([[H, zero], [zero, -H]]), np.concatenate([b, b]), np.concatenate([c, c])
     )
     w = np.concatenate([[0.0], w[w > 0]])
-    x = freq_values(StateSpace(H, M.B, M.C, M.D), w).real
-    return [(float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12]
+    x = freq_values(M, w).real
+    memo[margin] = tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
+    return memo[margin]
 
 
 def exact_bounds(
