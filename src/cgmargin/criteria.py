@@ -6,6 +6,14 @@ from real-axis intercepts of enclosing geometry: a positive intercept x
 maps to the lower bound -1/x and a negative intercept to the upper
 bound -1/x.  The exact bounds are the same map applied to the real values
 of M(jw) themselves, found as the jw-axis zeros of M(s) - M(-s).
+
+Each graphical bound is the sup over w of one function of M(jw): |M|,
+|M - x_c|, Re M, or Re[(1 + jqw) M].  Its candidate is the largest sample;
+``_certified_max`` then raises it until the jw-axis zeros of one
+para-Hermitian function certify it (Bruinsma and Steinbuch, Systems &
+Control Letters 14, 1990; Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).
+The certificate holds over w = 0 and the sampled window [wmin, wmax], not
+beyond it.  The outer searches over x_c and q run on the samples.
 """
 
 from __future__ import annotations
@@ -23,16 +31,20 @@ from .mdelta import MDeltaModel, closed_loop_matrix
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# fixed Popov-slope probes used while sampling, so the base grid is
-# refined near the features every criterion reads off later
-PROBE_SLOPES = (-10.0, -1.0, -0.1, -0.01, 0.01, 0.1, 1.0, 10.0)
-
 CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
 
 # verify_interval flags a boundary delta* only inside an interval by more than
 # this share of |delta*|: a graphical bound may sit on the exact one (Popov
 # upper does on the aircraft), measured to within 3.4e-16 relative
 INSIDE_RTOL = 1e-9
+
+# a certified maximum is level + CERT_RTOL * |level|: nothing in the window
+# exceeds it.  Each round evaluates PER_INTERVAL points inside each interval
+# between consecutive level crossings; more than CERT_ROUNDS rounds warn
+CERT_RTOL = 1e-8
+PER_INTERVAL = 8
+CERT_ROUNDS = 12
+_FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 
 
 def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):
@@ -54,58 +66,16 @@ def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200
     return (c, fc) if fc < fd else (d, fd)
 
 
-def golden_max(f, a: float, b: float, **kw):
-    x, fneg = golden_min(lambda t: -f(t), a, b, **kw)
-    return x, -fneg
-
-
-def golden_min_lockstep(f, a, b, rel_tol: float = 1e-9, max_iter: int = 200):
-    """``golden_min`` on every bracket [a[k], b[k]] at once.
-
-    ``f(k, x)`` returns the objective of brackets ``k`` at points ``x``
-    (arrays); it is called once per iteration for all brackets still
-    searching.  Each bracket keeps golden_min's update and stop rules, so
-    its (x, f(x)) equals golden_min's on that bracket alone.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    if a.size == 0:
-        return a, a.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    live = np.arange(a.size)
-    fc, fd = np.split(f(np.concatenate([live, live]), np.concatenate([c, d])), 2)
-    for _ in range(max_iter):
-        wide = np.abs(b[live] - a[live]) > rel_tol * np.maximum(
-            np.maximum(np.abs(a[live]), np.abs(b[live])), 1e-300
-        )
-        live = live[wide]
-        if live.size == 0:
-            break
-        left = fc[live] < fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - _INVPHI * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _INVPHI * (b[rt] - a[rt])
-        fnew = f(live, np.where(left, c[live], d[live]))
-        fc[lt] = fnew[left]
-        fd[rt] = fnew[~left]
-    pick = fc < fd
-    return np.where(pick, c, d), np.where(pick, fc, fd)
-
-
 @dataclass(frozen=True, eq=False)
 class LocusSummary:
-    """Refined samples of M(jw) with the quantities the criteria consume."""
+    """Samples of M(jw) with the quantities the criteria consume."""
 
     omegas: np.ndarray          # sorted, starts at 0
     values: np.ndarray          # complex samples of M(jw)
     popov_ordinate: np.ndarray  # w * Im[M(jw)] per sample
-    x_max: float                # max Re over the locus
-    x_min: float                # min Re over the locus
-    evaluator: object = field(repr=False)   # callable w -> complex M(jw)
-    refine_tol: float = 1e-8
+    x_max: float                # max Re over the samples
+    x_min: float                # min Re over the samples
+    system: StateSpace = field(repr=False)   # M, for the certificates
 
 
 @dataclass(frozen=True)
@@ -130,33 +100,13 @@ class VerificationReport:
     notes: str = ""
 
 
-def _evaluator(M: StateSpace):
-    def ev(w: float) -> complex:
-        return complex(M.evaluate(1j * w)[0, 0])
-    return ev
-
-
-def _local_max_indices(y: np.ndarray) -> np.ndarray:
-    inner = (y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:])
-    return np.nonzero(inner)[0] + 1
-
-
 def sample_locus(
     M: StateSpace,
     wmin: float = 1e-4,
     wmax: float = 1e4,
     n: int = 4000,
-    refine_tol: float = 1e-8,
 ) -> LocusSummary:
-    """Sample M(jw) on a log grid and refine near the decisive features.
-
-    The base grid of n log-spaced points on [wmin, wmax] is augmented by
-    w = 0 and adaptively refined.  Local extrema of Re, -Re, |M|, and a
-    fixed set of Popov-slope probes Re - q*w*Im are polished by
-    golden-section search on the continuous response, all in lockstep: one
-    stacked response per iteration across every bracket
-    (``golden_min_lockstep``).
-    """
+    """Sample M(jw) at w = 0 and on n log-spaced points of [wmin, wmax]."""
     if wmin <= 0 or wmax <= wmin or n < 2:
         raise DimensionError("need 0 < wmin < wmax and n >= 2")
     if M.ninputs != 1 or M.noutputs != 1 or np.any(M.D != 0):
@@ -166,76 +116,90 @@ def sample_locus(
             "M(s) is not asymptotically stable; the graphical criteria "
             "presume a stable fixed part"
         )
-    ev = _evaluator(M)
-    grid = np.logspace(math.log10(wmin), math.log10(wmax), n)
+    grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), n)])
     locus = freq_response(M, grid)
-    om = locus.omegas
-    vals = locus.values
-
-    # w = 0 sample: real by construction for real matrices
-    extra_w: list[float] = [0.0]
-    extra_v: list[complex] = [complex(ev(0.0).real)]
-
-    # extrema polishing: each local maximum on the stored grid of Re, -Re,
-    # |M| and the probe functionals Re - q*w*Im brackets one golden-section
-    # search on the continuous response; all of them run in lockstep
-    tracks = [vals.real, -vals.real, np.abs(vals)]
-    tracks += [vals.real - q * om * vals.imag for q in PROBE_SLOPES]
-    peaks = [(k, i) for k, t in enumerate(tracks) for i in _local_max_indices(t)]
-    kind, at = np.array(peaks, dtype=int).reshape(-1, 2).T
-    magnitude = kind == 2
-    sign = np.where(kind == 1, -1.0, 1.0)
-    slope = np.array([0.0, 0.0, 0.0, *PROBE_SLOPES])[kind]
-
-    def minus_functional(j, w):
-        m = freq_values(M, w)
-        return np.where(
-            magnitude[j],
-            -np.hypot(m.real, m.imag),
-            -sign[j] * (m.real - slope[j] * w * m.imag),
-        )
-
-    wstar, _ = golden_min_lockstep(
-        minus_functional, om[at - 1], om[at + 1], rel_tol=refine_tol * 1e-1
-    )
-    extra_w.extend(wstar)
-    extra_v.extend(freq_values(M, wstar))
-
-    all_w = np.concatenate([om, np.array(extra_w)])
-    all_v = np.concatenate([vals, np.array(extra_v, dtype=complex)])
-    order = np.argsort(all_w, kind="stable")
-    all_w = all_w[order]
-    all_v = all_v[order]
-    keep = np.concatenate([[True], np.diff(all_w) > 0])
-    all_w = all_w[keep]
-    all_v = all_v[keep]
-
+    values = locus.values
+    values[0] = values[0].real   # real by construction for real matrices
     return LocusSummary(
-        omegas=all_w,
-        values=all_v,
-        popov_ordinate=all_w * all_v.imag,
-        x_max=float(all_v.real.max()),
-        x_min=float(all_v.real.min()),
-        evaluator=ev,
-        refine_tol=refine_tol,
+        omegas=locus.omegas,
+        values=values,
+        popov_ordinate=locus.omegas * values.imag,
+        x_max=float(values.real.max()),
+        x_min=float(values.real.min()),
+        system=M,
     )
 
 
-def _bracket(omegas: np.ndarray, i: int):
-    lo = omegas[i - 1] if i > 0 else omegas[i]
-    hi = omegas[i + 1] if i + 1 < omegas.size else omegas[i]
-    return lo, hi
+def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.ndarray):
+    """(bound, w, M(jw)): sup of f(M(jw), w) over w = 0 and the window, certified.
+
+    ``values`` are samples of M(jw) at ``omegas``, w = 0 and wmax =
+    omegas[-1] among them.  ``crossings(level)`` returns the w >= 0 where
+    f(M(jw), w) = level.  Start from the largest sample and let tol =
+    CERT_RTOL * |level|.  Each round finds the crossings of level + tol up
+    to wmax.  As f <= level at every sample, f exceeds level + tol only
+    strictly between two consecutive crossings, and then on the whole
+    interval between them; so PER_INTERVAL points inside each such interval
+    are evaluated, and the level is raised to their max.  Once nothing
+    evaluated exceeds level + tol, or fewer than two crossings remain,
+    level + tol bounds f on the window.  Also returns every point
+    evaluated, with its M(jw).
+    """
+    wmax = omegas[-1]
+    level = float(f(values, omegas).max())
+    tol = CERT_RTOL * abs(level)
+    seen_w, seen_m = [np.empty(0)], [np.empty(0, dtype=complex)]
+    for _ in range(CERT_ROUNDS):
+        z = crossings(level + tol)
+        z = z[z <= wmax]
+        if z.size < 2:
+            break
+        w = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
+        m = freq_values(M, w)
+        seen_w.append(w)
+        seen_m.append(m)
+        top = float(f(m, w).max())
+        if top <= level + tol:
+            break
+        level, tol = top, CERT_RTOL * abs(top)
+    else:
+        warnings.warn(
+            f"maximum {level + tol!r} not certified after {CERT_ROUNDS} rounds",
+            stacklevel=3,
+        )
+    return level + tol, np.concatenate(seen_w), np.concatenate(seen_m)
 
 
-def _polish_max(summary: LocusSummary, per_sample: np.ndarray, cont):
-    """Max of a functional: sample argmax polished on the continuous curve."""
-    i = int(np.argmax(per_sample))
-    best = float(per_sample[i])
-    lo, hi = _bracket(summary.omegas, i)
-    if hi > lo:
-        _, val = golden_max(cont, lo, hi, rel_tol=1e-10)
-        best = max(best, float(val))
-    return best
+def _modulus_level(M: StateSpace, x_c: float):
+    """(f, crossings) for f(M(jw), w) = |M(jw) - x_c|.
+
+    ``crossings(r)`` returns the w where f = r: the jw-axis zeros of
+    r^2 - G(-s) G(s) for G = M - x_c, realized as G(-s) in series after G(s).
+    """
+    H, b, c = M.A, M.B[:, 0], M.C[0]
+    A = np.block([[H, np.zeros_like(H)], [np.outer(b, c), -H]])
+    B = np.concatenate([b, -x_c * b])
+    C = np.concatenate([x_c * c, c])
+    return (lambda m, w: np.abs(m - x_c)), (lambda r: imaginary_zeros(A, B, C, r * r - x_c * x_c))
+
+
+def _popov_level(M: StateSpace, q: float, side: int):
+    """(f, crossings) for f(M(jw), w) = side * Re[(1 + jqw) M(jw)].
+
+    ``crossings(L)`` returns the w where f = L: with F = (1 + qs) M =
+    (H, b, c + q cH, q cb), the jw-axis zeros of 2L - side * (F(s) + F(-s)).
+    """
+    H, b, c = M.A, M.B[:, 0], M.C[0]
+    c_f = c + q * (c @ H)
+    zero = np.zeros_like(H)
+    A = np.block([[H, zero], [zero, -H]])
+    B = np.concatenate([b, b])
+    C = -side * np.concatenate([c_f, -c_f])
+    asymptote = side * q * (c @ b)   # f as w -> inf
+    return (
+        lambda m, w: side * (m.real - q * w * m.imag),
+        lambda level: imaginary_zeros(A, B, C, 2.0 * (level - asymptote)),
+    )
 
 
 def small_gain_bounds(summary: LocusSummary) -> StabilityInterval:
@@ -244,8 +208,8 @@ def small_gain_bounds(summary: LocusSummary) -> StabilityInterval:
     The radius r_sg is the peak magnitude of M; the interval is the
     symmetric (-1/r_sg, +1/r_sg).
     """
-    ev = summary.evaluator
-    r_sg = _polish_max(summary, np.abs(summary.values), lambda w: abs(ev(w)))
+    M = summary.system
+    r_sg = _certified_max(M, *_modulus_level(M, 0.0), summary.omegas, summary.values)[0]
     return StabilityInterval(
         lower=-1.0 / r_sg,
         upper=1.0 / r_sg,
@@ -258,12 +222,12 @@ def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityIn
     """Smallest locus-enclosing circle centered on the real axis.
 
     ``center="optimal"`` picks the real-axis center minimizing the radius
-    (this reproduces the reference results); ``center="midpoint"`` uses
-    the midpoint of the extreme real parts instead.
+    over the samples (this reproduces the reference results);
+    ``center="midpoint"`` uses the midpoint of the extreme real parts
+    instead.  The radius at that center is certified.
     """
     X = summary.values.real
     Y = summary.values.imag
-    ev = summary.evaluator
 
     def radius_samples(xc: float) -> float:
         return float(np.sqrt((X - xc) ** 2 + Y ** 2).max())
@@ -281,14 +245,8 @@ def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityIn
     else:
         raise ValueError(f"unknown center mode {center!r}")
 
-    def dist(w: float) -> float:
-        mv = ev(w)
-        return math.hypot(mv.real - x_c, mv.imag)
-
-    # the optimal circle touches the locus at two or more near-equal peaks,
-    # so every one that may bind is polished
-    d = np.sqrt((X - x_c) ** 2 + Y ** 2)
-    r_c = max([float(d.max())] + _polish_binding_peaks(summary.omegas, d, dist))
+    M = summary.system
+    r_c = _certified_max(M, *_modulus_level(M, x_c), summary.omegas, summary.values)[0]
     return _interval_from_intercepts(
         pos=x_c + r_c,
         neg=x_c - r_c,
@@ -299,9 +257,9 @@ def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityIn
 
 def positive_real_bounds(summary: LocusSummary) -> StabilityInterval:
     """Vertical lines at the extreme real parts of the locus."""
-    ev = summary.evaluator
-    x_max = _polish_max(summary, summary.values.real, lambda w: ev(w).real)
-    x_min = -_polish_max(summary, -summary.values.real, lambda w: -ev(w).real)
+    M, omegas, values = summary.system, summary.omegas, summary.values
+    x_max = _certified_max(M, *_popov_level(M, 0.0, +1), omegas, values)[0]
+    x_min = -_certified_max(M, *_popov_level(M, 0.0, -1), omegas, values)[0]
     return _interval_from_intercepts(
         pos=x_max,
         neg=x_min,
@@ -315,11 +273,11 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
     c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f.
-    Both are optimized by a coarse log-spaced scan over q followed by
-    golden-section refinement (the objectives are convex/concave in q).
-    Each reported intercept is the extremum of the continuous response at
-    the reported slope, so every line (q, c) encloses the continuous
-    locus, not only its samples.
+    Both are optimized on the samples by a coarse log-spaced scan over q
+    followed by golden-section refinement (the objectives are convex/concave
+    in q).  Each reported intercept is certified at the reported slope, so
+    every line (q, c) encloses the continuous locus on the window, not only
+    its samples.
     ``slope_search=False`` forces vertical lines, reproducing the
     positive real criterion.
     """
@@ -340,9 +298,8 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
             upper_unbounded=pr.upper_unbounded,
         )
 
-    ev = summary.evaluator
-    q_plus, c_plus = _optimize_popov_line(summary, ev, side=+1)
-    q_minus, c_minus = _optimize_popov_line(summary, ev, side=-1)
+    q_plus, c_plus = _optimize_popov_line(summary, side=+1)
+    q_minus, c_minus = _optimize_popov_line(summary, side=-1)
     return _interval_from_intercepts(
         pos=c_plus,
         neg=c_minus,
@@ -357,10 +314,10 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
     )
 
 
-def _optimize_popov_line(summary: LocusSummary, ev, side: int):
+def _optimize_popov_line(summary: LocusSummary, side: int):
     """min_q of sup_w [Re - q*w*Im] for side=+1; max_q of inf_w for side=-1."""
-    omegas = summary.omegas
-    X = summary.values.real
+    M, omegas, values = summary.system, summary.omegas, summary.values
+    X = values.real
     OY = summary.popov_ordinate
 
     def objective(q: float) -> float:
@@ -376,54 +333,26 @@ def _optimize_popov_line(summary: LocusSummary, ev, side: int):
     b = qgrid[min(i + 1, qgrid.size - 1)]
     q_opt, _ = golden_min(objective, a, b, rel_tol=1e-6)
 
-    # polish every near-binding peak at q_opt on the continuous response and
-    # re-optimize q over the samples plus every response the polish saw,
-    # until the continuous extremum at q_opt is within 1e-9 of the sampled
-    # one; the reported intercept is always that continuous extremum.  Of
-    # samples within 1e-9 relative only the first is kept: two golden iterates
-    # an ulp apart make a false sampled peak whose bracket misses the true one
+    # certify the line at q_opt; while the certificate had to look between
+    # samples, add what it saw and re-optimize q.  Of samples within 1e-9
+    # relative only the first is kept: two points an ulp apart make a false
+    # sampled peak
     for attempt in range(9):
-        f = side * (X - q_opt * OY)
-        seen = {}
-
-        def cont(w: float) -> float:
-            mv = seen[w] = ev(w)
-            return side * (mv.real - q_opt * w * mv.imag)
-
-        c_opt = max([float(f.max())] + _polish_binding_peaks(omegas, f, cont))
-        if attempt == 8 or c_opt - f.max() <= 1e-9 * max(1.0, abs(c_opt)):
+        c_opt, w_seen, m_seen = _certified_max(
+            M, *_popov_level(M, q_opt, side), omegas, values
+        )
+        if attempt == 8 or w_seen.size == 0:
             break
-        w_seen = np.array(list(seen))
-        m_seen = np.array(list(seen.values()))
         omegas, k = np.unique(np.concatenate([omegas, w_seen]), return_index=True)
         apart = np.concatenate([[True], np.diff(omegas) > 1e-9 * omegas[1:]])
         omegas, k = omegas[apart], k[apart]
-        X = np.concatenate([X, m_seen.real])[k]
-        OY = np.concatenate([OY, w_seen * m_seen.imag])[k]
+        values = np.concatenate([values, m_seen])[k]
+        X, OY = values.real, omegas * values.imag
         q_opt, _ = golden_min(
             objective, q_opt - abs(q_opt) - 1e-3, q_opt + abs(q_opt) + 1e-3,
             rel_tol=1e-8,
         )
     return q_opt, side * c_opt
-
-
-def _polish_binding_peaks(omegas: np.ndarray, f: np.ndarray, cont):
-    """Golden-polish each sampled peak of f that may reach max(f) between samples.
-
-    A peak's rise above its sample is estimated by its drop to the lower
-    neighbour, which bounds the rise of a parabola through three equally
-    spaced samples; the estimate is doubled for margin.  Returns the
-    polished peak values.
-    """
-    top = f.max()
-    cands = set(_local_max_indices(f).tolist()) | {int(np.argmax(f))}
-    peaks = []
-    for j in sorted(cands):
-        lo, hi = _bracket(omegas, j)
-        rise = f[j] - min(f[max(j - 1, 0)], f[min(j + 1, f.size - 1)])
-        if hi > lo and f[j] + 2.0 * rise >= top:
-            peaks.append(float(golden_max(cont, lo, hi, rel_tol=1e-8)[1]))
-    return peaks
 
 
 def _interval_from_intercepts(pos, neg, criterion, witnesses):

@@ -41,7 +41,8 @@ RESCALE_AT = 1e150
 MARKOV_RTOL = 1e-10
 # an invariant zero z lies on the jw-axis when |Re z| <= AXIS_RTOL * |z|; one
 # within AXIS_RTOL * |Z|_1 of the origin, the rounding of the zero-dynamics
-# matrix Z, is the origin
+# matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
+# may be huge, and the certificates never ask for a zero at the origin)
 AXIS_RTOL = 1e-8
 
 
@@ -470,19 +471,26 @@ def is_hurwitz(A, margin: float = 0.0) -> bool:
     return bool(np.max(eigenvalues(A).real) < -margin)
 
 
-def imaginary_zeros(A, b, c) -> np.ndarray:
-    """Sorted distinct w >= 0 at which c (sI - A)^-1 b vanishes at s = jw.
+def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
+    """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw.
 
-    The realization (A, b, c) is SISO and strictly proper.  Its invariant
-    zeros are the eigenvalues of the zero dynamics (Emami-Naeini and Van
-    Dooren, Automatica 18(4), 1982): with c A^k b the first nonzero Markov
-    parameter, A - b c A^(k+1) / (c A^k b) leaves the null space of the rows
-    c, cA, ..., cA^k invariant, and its restriction there has the n - k - 1
-    zeros as eigenvalues.  Deflating by the relative degree this way adds no
-    spurious zeros at the origin when cb = 0.  A zero of multiplicity m is
-    found only to about eps^(1/m), like any multiple eigenvalue, so it may
-    fall off the axis and be left out.  A transfer function that is
-    identically zero returns no zeros.
+    With d != 0 the zeros are the eigenvalues of A - b c / d.  b is first
+    mapped to beta e1 (``_map_to_first``), so the rank-one term fills one
+    row, which the balancing inside ``eigvals`` scales down; without it a
+    small d, with large entries in b c / d, pushes on-axis zeros off the
+    axis.
+
+    With d = 0 the zeros are those of the zero dynamics (Emami-Naeini and
+    Van Dooren, Automatica 18(4), 1982): with c A^k b the first nonzero
+    Markov parameter, A - b c A^(k+1) / (c A^k b) leaves the null space of
+    the rows c, cA, ..., cA^k invariant, and its restriction there has the
+    n - k - 1 zeros as eigenvalues.  Deflating by the relative degree this
+    way adds no spurious zeros at the origin when cb = 0.
+
+    A zero of multiplicity m is found only to about eps^(1/m), like any
+    multiple eigenvalue, so it may fall off the axis and be left out.  A
+    transfer function that is identically zero, or constant, returns no
+    zeros.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -490,17 +498,24 @@ def imaginary_zeros(A, b, c) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,) or c.shape != (n,):
         raise DimensionError("imaginary_zeros needs a SISO realization")
-    rows = [c]
-    while abs(rows[-1] @ b) <= MARKOV_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
-        if len(rows) >= n:
-            return np.empty(0)
-        rows.append(rows[-1] @ A)
-    last = rows[-1]
-    R = np.array([r / np.linalg.norm(r) for r in rows])
-    null = np.linalg.svd(R)[2][len(rows):].T
-    Z = null.T @ (A - np.outer(b, (last @ A) / (last @ b))) @ null
-    lam = np.linalg.eigvals(Z)
-    lam[np.abs(lam) <= AXIS_RTOL * np.linalg.norm(Z, 1)] = 0.0
+    if d != 0.0:
+        A, c = A.copy(), c.copy()
+        beta = _map_to_first(A, c, 0, b)
+        A[0] -= (beta / d) * c
+        # with b = 0 the function is the constant d: A's eigenvalues are no zeros
+        lam = np.linalg.eigvals(A) if beta != 0.0 else np.empty(0)
+    else:
+        rows = [c]
+        while abs(rows[-1] @ b) <= MARKOV_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
+            if len(rows) >= n:
+                return np.empty(0)
+            rows.append(rows[-1] @ A)
+        last = rows[-1]
+        R = np.array([r / np.linalg.norm(r) for r in rows])
+        null = np.linalg.svd(R)[2][len(rows):].T
+        Z = null.T @ (A - np.outer(b, (last @ A) / (last @ b))) @ null
+        lam = np.linalg.eigvals(Z)
+        lam[np.abs(lam) <= AXIS_RTOL * np.linalg.norm(Z, 1)] = 0.0
     on_axis = np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)
     # not np.unique: it imports numpy.ma (numpy 2.4), 14 ms and 1.4 MiB per CLI run
     w = np.sort(np.abs(lam.imag[on_axis]))

@@ -255,6 +255,19 @@ class TestImaginaryZeros:
         assert imaginary_zeros(A, [1.0, 0.0], [0.0, 1.0]).size == 0
         assert imaginary_zeros(np.zeros((0, 0)), [], []).size == 0
 
+    @pytest.mark.parametrize("gain", [2.0, 1e-9])
+    def test_feedthrough(self, gain):
+        # biproper, so d = gain; the zeros at +-2j, 1 and -3 come back from
+        # the eigenvalues of A - b c / d, the pair on the axis only
+        ss = ss_realize(tf_from_zpk([2j, -2j, 1.0, -3.0], [-1.0, -2.0, -0.5 + 1j, -0.5 - 1j], gain))
+        assert ss.D[0, 0] == pytest.approx(gain)
+        w = imaginary_zeros(ss.A, ss.B, ss.C, ss.D[0, 0])
+        assert w == pytest.approx([2.0], rel=1e-12)
+
+    def test_constant(self):
+        A = np.diag([-1.0, -2.0])
+        assert imaginary_zeros(A, [0.0, 0.0], [1.0, 1.0], 3.0).size == 0
+
 
 class TestTfOfSs:
     def test_round_trip(self, g_tf):
