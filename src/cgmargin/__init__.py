@@ -26,7 +26,6 @@ from .criteria import (
     popov_bounds,
     positive_real_bounds,
     sample_locus,
-    scan_exact_bounds,
     small_gain_bounds,
     verify_interval,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "rank_one_factor",
     "run_analysis",
     "sample_locus",
-    "scan_exact_bounds",
     "small_gain_bounds",
     "ss_realize",
     "tf_from_zpk",

@@ -8,12 +8,17 @@ bound -1/x.  The exact bounds are the same map applied to the real values
 of M(jw) themselves, found as the jw-axis zeros of M(s) - M(-s).
 
 Each graphical bound is the sup over w of one function of M(jw): |M|,
-|M - x_c|, Re M, or Re[(1 + jqw) M].  Its candidate is the largest sample;
+|M - x_c|, Re M, or Re[(1 + jqw) M].  Its candidate is the largest sample,
+raised by one parabola step at each near-top sampled peak;
 ``_certified_max`` then raises it until the jw-axis zeros of one
 para-Hermitian function certify it (Bruinsma and Steinbuch, Systems &
 Control Letters 14, 1990; Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).
 The certificate holds over w = 0 and the sampled window [wmin, wmax], not
-beyond it.  The outer searches over x_c and q run on the samples.
+beyond it.  The circle's x_c and Popov's q are exact 1-D minimax
+solutions over the points evaluated (``_minimax_line``); Popov's q is
+re-solved with the certificate's points until the certified intercept is
+within 2 * CERT_RTOL * |c| of the optimum over every slope (cutting
+planes; Kelley, J. SIAM 8, 1960).
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ import numpy as np
 from .errors import DimensionError, SoundnessError, UnstableFixedPartError
 from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, imaginary_zeros, is_hurwitz
 from .mdelta import MDeltaModel, closed_loop_matrix
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
 
@@ -46,24 +49,17 @@ PER_INTERVAL = 8
 CERT_ROUNDS = 12
 _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 
+# sampled local maxima within this share of the top sample are seeded by one
+# parabola step in log w before the first certificate solve
+SEED_RTOL = 1e-3
 
-def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+# Popov slopes are searched on [-Q_MAX, Q_MAX].  Where the optimum over q is a
+# smooth minimum (one binding peak with w Im M = 0, as Popov upper on the
+# aircraft) the cutting planes halve the slope bracket per round, so the gap
+# shrinks about 4x per round: from an 8-point grid that takes 13 rounds.
+# More than POPOV_ROUNDS rounds warn
+Q_MAX = 1e4
+POPOV_ROUNDS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +69,6 @@ class LocusSummary:
     omegas: np.ndarray          # sorted, starts at 0
     values: np.ndarray          # complex samples of M(jw)
     popov_ordinate: np.ndarray  # w * Im[M(jw)] per sample
-    x_max: float                # max Re over the samples
-    x_min: float                # min Re over the samples
     system: StateSpace = field(repr=False)   # M, for the certificates
 
 
@@ -124,31 +118,49 @@ def sample_locus(
         omegas=locus.omegas,
         values=values,
         popov_ordinate=locus.omegas * values.imag,
-        x_max=float(values.real.max()),
-        x_min=float(values.real.min()),
         system=M,
     )
+
+
+def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """One parabola step in log w at each interior sampled local maximum of fv
+    within SEED_RTOL of the top sample: the vertex of the parabola through
+    the maximum and its two neighbours, kept between the neighbours."""
+    top, mid = fv.max(), fv[1:-1]
+    peak = (mid >= fv[:-2]) & (mid >= fv[2:]) & (mid >= top - SEED_RTOL * abs(top))
+    i = np.flatnonzero(peak) + 1
+    i = i[omegas[i - 1] > 0]   # w = 0 has no logarithm
+    u0, u1, u2 = np.log(omegas[i - 1]), np.log(omegas[i]), np.log(omegas[i + 1])
+    d0, d2 = fv[i] - fv[i - 1], fv[i] - fv[i + 1]
+    den = (u1 - u0) * d2 + (u2 - u1) * d0   # >= 0 at a local maximum; 0 if flat
+    ok = den > 0
+    u = u1[ok] - 0.5 * ((u1 - u0) ** 2 * d2 - (u2 - u1) ** 2 * d0)[ok] / den[ok]
+    return np.clip(np.exp(u), omegas[i - 1][ok], omegas[i + 1][ok])
 
 
 def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.ndarray):
     """(bound, w, M(jw)): sup of f(M(jw), w) over w = 0 and the window, certified.
 
-    ``values`` are samples of M(jw) at ``omegas``, w = 0 and wmax =
+    ``values`` are samples of M(jw) at ``omegas``, sorted, w = 0 and wmax =
     omegas[-1] among them.  ``crossings(level)`` returns the w >= 0 where
-    f(M(jw), w) = level.  Start from the largest sample and let tol =
-    CERT_RTOL * |level|.  Each round finds the crossings of level + tol up
-    to wmax.  As f <= level at every sample, f exceeds level + tol only
-    strictly between two consecutive crossings, and then on the whole
-    interval between them; so PER_INTERVAL points inside each such interval
-    are evaluated, and the level is raised to their max.  Once nothing
-    evaluated exceeds level + tol, or fewer than two crossings remain,
-    level + tol bounds f on the window.  Also returns every point
-    evaluated, with its M(jw).
+    f(M(jw), w) = level.  Start from the largest of the samples and of the
+    parabola seeds (``_parabola_seeds``) and let tol = CERT_RTOL * |level|.
+    Each round finds the crossings of level + tol up to wmax.  As f <= level
+    at every point evaluated, f exceeds level + tol only strictly between
+    two consecutive crossings, and then on the whole interval between them;
+    so PER_INTERVAL points inside each such interval are evaluated, and the
+    level is raised to their max.  Once nothing evaluated exceeds level +
+    tol, or fewer than two crossings remain, level + tol bounds f on the
+    window.  Also returns every point evaluated, the seeds among them, with
+    its M(jw).
     """
     wmax = omegas[-1]
-    level = float(f(values, omegas).max())
+    fv = f(values, omegas)
+    w = _parabola_seeds(omegas, fv)
+    m = freq_values(M, w)
+    level = float(np.concatenate([fv, f(m, w)]).max())
     tol = CERT_RTOL * abs(level)
-    seen_w, seen_m = [np.empty(0)], [np.empty(0, dtype=complex)]
+    seen_w, seen_m = [w], [m]
     for _ in range(CERT_ROUNDS):
         z = crossings(level + tol)
         z = z[z <= wmax]
@@ -168,6 +180,42 @@ def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.n
             stacklevel=3,
         )
     return level + tol, np.concatenate(seen_w), np.concatenate(seen_m)
+
+
+def _minimax_line(a: np.ndarray, b: np.ndarray, lo: float, hi: float, quad: bool = False):
+    """Exact argmin, a float, of phi(x) = max_k (a_k - x b_k) (+ x^2 if ``quad``) on [lo, hi].
+
+    phi is convex.  Keep two lines: L, active where phi falls, and R,
+    active where it rises.  The minimizer of max(L, R) (their intersection,
+    or with x^2 the vertex of one of them) is phi's once the line active
+    there is no higher than the pair; otherwise that line replaces L or R
+    by the sign of phi's slope along it.  Each step is one pass over the
+    lines.  A step count past the number of lines, which rounding alone
+    could cause, ends the search at the last point.
+    """
+    k2 = 2.0 if quad else 0.0
+
+    def active(x):
+        return int(np.argmax(a - x * b))
+
+    L, R = active(lo), active(hi)
+    if k2 * lo - b[L] >= 0:
+        return float(lo)
+    if k2 * hi - b[R] <= 0:
+        return float(hi)
+    for _ in range(a.size):
+        x = 0.5 * b[L] if b[L] == b[R] else (a[L] - a[R]) / (b[L] - b[R])
+        if quad:
+            x = min(max(x, 0.5 * b[R]), 0.5 * b[L])
+        k = active(x)
+        slope = k2 * x - b[k]
+        if a[k] - x * b[k] <= max(a[L] - x * b[L], a[R] - x * b[R]) or slope == 0:
+            break
+        if slope > 0:
+            R = k
+        else:
+            L = k
+    return float(x)
 
 
 def _modulus_level(M: StateSpace, x_c: float):
@@ -221,27 +269,21 @@ def small_gain_bounds(summary: LocusSummary) -> StabilityInterval:
 def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityInterval:
     """Smallest locus-enclosing circle centered on the real axis.
 
-    ``center="optimal"`` picks the real-axis center minimizing the radius
-    over the samples (this reproduces the reference results);
-    ``center="midpoint"`` uses the midpoint of the extreme real parts
-    instead.  The radius at that center is certified.
+    ``center="optimal"`` picks the real-axis center that minimizes the
+    radius over the samples, exactly (``_minimax_line`` on the squared
+    radius; this reproduces the reference results); ``center="midpoint"``
+    uses the midpoint of the extreme sampled real parts instead.  The
+    radius at that center is certified on the continuous locus.
     """
     X = summary.values.real
-    Y = summary.values.imag
-
-    def radius_samples(xc: float) -> float:
-        return float(np.sqrt((X - xc) ** 2 + Y ** 2).max())
-
     if center == "optimal":
-        span = summary.x_max - summary.x_min
-        x_c, _ = golden_min(
-            radius_samples,
-            summary.x_min - span,
-            summary.x_max + span,
-            rel_tol=1e-10,
+        # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x): its minimizer lies between
+        # the extreme real parts
+        x_c = _minimax_line(
+            np.abs(summary.values) ** 2, 2.0 * X, float(X.min()), float(X.max()), quad=True
         )
     elif center == "midpoint":
-        x_c = 0.5 * (summary.x_max + summary.x_min)
+        x_c = 0.5 * float(X.max() + X.min())
     else:
         raise ValueError(f"unknown center mode {center!r}")
 
@@ -272,14 +314,13 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
     """Popov lines on the plot of w*Im[M(jw)] vs Re[M(jw)].
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
-    c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f.
-    Both are optimized on the samples by a coarse log-spaced scan over q
-    followed by golden-section refinement (the objectives are convex/concave
-    in q).  Each reported intercept is certified at the reported slope, so
-    every line (q, c) encloses the continuous locus on the window, not only
-    its samples.
-    ``slope_search=False`` forces vertical lines, reproducing the
-    positive real criterion.
+    c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f,
+    over |q| <= Q_MAX.  Each side is solved by ``_optimize_popov_line``:
+    the reported intercept is certified at the reported slope, so every
+    line (q, c) encloses the continuous locus on the window, and
+    ``gap_plus``/``gap_minus`` bound how far c lies from the optimum over
+    every slope.  ``slope_search=False`` forces vertical lines, reproducing
+    the positive real criterion.
     """
     if not slope_search:
         pr = positive_real_bounds(summary)
@@ -298,8 +339,8 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
             upper_unbounded=pr.upper_unbounded,
         )
 
-    q_plus, c_plus = _optimize_popov_line(summary, side=+1)
-    q_minus, c_minus = _optimize_popov_line(summary, side=-1)
+    q_plus, c_plus, gap_plus = _optimize_popov_line(summary, side=+1)
+    q_minus, c_minus, gap_minus = _optimize_popov_line(summary, side=-1)
     return _interval_from_intercepts(
         pos=c_plus,
         neg=c_minus,
@@ -307,52 +348,54 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
         witnesses={
             "q_plus": q_plus,
             "c_plus": c_plus,
+            "gap_plus": gap_plus,
             "q_minus": q_minus,
             "c_minus": c_minus,
+            "gap_minus": gap_minus,
             "vertical": False,
         },
     )
 
 
 def _optimize_popov_line(summary: LocusSummary, side: int):
-    """min_q of sup_w [Re - q*w*Im] for side=+1; max_q of inf_w for side=-1."""
+    """(q, c, gap): min_q sup_w f for side=+1, max_q inf_w f for side=-1.
+
+    Over the set S of points evaluated so far, phi_S(q) = max_k side * f(q,
+    w_k) is convex and lies below the sup over the window, so min phi_S
+    bounds the optimum from below while the certified c(q) bounds it from
+    above.  Each round sets q to the exact argmin of phi_S
+    (``_minimax_line``), certifies c(q), and stops once gap = c(q) - min
+    phi_S <= 2 * CERT_RTOL * |c|; otherwise the certificate's points join
+    S, kept sorted so that wmax stays omegas[-1].  A loop that ends on
+    POPOV_ROUNDS, or at |q| = Q_MAX with phi_S still falling beyond it,
+    warns that the line is not shown optimal.
+    """
     M, omegas, values = summary.system, summary.omegas, summary.values
-    X = values.real
-    OY = summary.popov_ordinate
 
-    def objective(q: float) -> float:
-        # side=+1: sup of f; side=-1: -inf of f = sup of -f
-        return float((side * (X - q * OY)).max())
+    def argmin(omegas, values):
+        a, b = side * values.real, side * omegas * values.imag
+        q = _minimax_line(a, b, -Q_MAX, Q_MAX)
+        k = int(np.argmax(a - q * b))
+        # min phi_S over the range bounds every q unless it sits at an end
+        # where the line active still falls outward
+        return q, float(a[k] - q * b[k]), abs(q) == Q_MAX and q * b[k] > 0
 
-    qgrid = np.concatenate(
-        [-np.logspace(4, -4, 81), [0.0], np.logspace(-4, 4, 81)]
-    )
-    coarse = np.array([objective(q) for q in qgrid])
-    i = int(np.argmin(coarse))
-    a = qgrid[max(i - 1, 0)]
-    b = qgrid[min(i + 1, qgrid.size - 1)]
-    q_opt, _ = golden_min(objective, a, b, rel_tol=1e-6)
-
-    # certify the line at q_opt; while the certificate had to look between
-    # samples, add what it saw and re-optimize q.  Of samples within 1e-9
-    # relative only the first is kept: two points an ulp apart make a false
-    # sampled peak
-    for attempt in range(9):
-        c_opt, w_seen, m_seen = _certified_max(
-            M, *_popov_level(M, q_opt, side), omegas, values
-        )
-        if attempt == 8 or w_seen.size == 0:
+    q_next, low, outward = argmin(omegas, values)
+    for _ in range(POPOV_ROUNDS):
+        q = q_next
+        c, w_seen, m_seen = _certified_max(M, *_popov_level(M, q, side), omegas, values)
+        omegas, values = np.concatenate([omegas, w_seen]), np.concatenate([values, m_seen])
+        order = np.argsort(omegas, kind="stable")
+        omegas, values = omegas[order], values[order]
+        q_next, low, outward = argmin(omegas, values)
+        gap = c - low
+        if gap <= 2 * CERT_RTOL * abs(c):
             break
-        omegas, k = np.unique(np.concatenate([omegas, w_seen]), return_index=True)
-        apart = np.concatenate([[True], np.diff(omegas) > 1e-9 * omegas[1:]])
-        omegas, k = omegas[apart], k[apart]
-        values = np.concatenate([values, m_seen])[k]
-        X, OY = values.real, omegas * values.imag
-        q_opt, _ = golden_min(
-            objective, q_opt - abs(q_opt) - 1e-3, q_opt + abs(q_opt) + 1e-3,
-            rel_tol=1e-8,
-        )
-    return q_opt, side * c_opt
+    if gap > 2 * CERT_RTOL * abs(c) or outward:
+        why = (f"the sampled intercept still falls past |q| = {Q_MAX!r}" if outward
+               else f"gap {gap!r} after {POPOV_ROUNDS} rounds")
+        warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: {why}", stacklevel=3)
+    return q, side * c, gap
 
 
 def _interval_from_intercepts(pos, neg, criterion, witnesses):
@@ -390,16 +433,6 @@ def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
         .real.max(axis=1)
         for lo in range(0, deltas.size, size)
     ])
-
-
-def _bisect_boundary(model, stable: float, unstable: float, tol: float, margin: float):
-    while abs(unstable - stable) > tol:
-        mid = 0.5 * (stable + unstable)
-        if _max_real_part(model, mid) < -margin:
-            stable = mid
-        else:
-            unstable = mid
-    return 0.5 * (stable + unstable)
 
 
 # crossing sets per model and margin: models are immutable, and an entry
@@ -465,45 +498,6 @@ def exact_bounds(
         witnesses={"upper_crossing": up_cross, "lower_crossing": lo_cross},
         lower_unbounded=lo_cross is None,
         upper_unbounded=up_cross is None,
-    )
-
-
-def scan_exact_bounds(
-    model: MDeltaModel,
-    lo: float = -100.0,
-    hi: float = 10.0,
-    step: float = 0.01,
-    delta_tol: float = 1e-6,
-    margin: float = 0.0,
-) -> StabilityInterval:
-    """Exact interval by brute-force outward scan plus bisection.
-
-    Independent of the frequency-domain locus; used as the second route
-    that must agree with exact_bounds.
-    """
-    if _max_real_part(model, 0.0) >= -margin:
-        raise UnstableFixedPartError("nominal closed loop is not stable")
-
-    def march(limit, sign):
-        d = 0.0
-        while sign * d < sign * limit:
-            nxt = d + sign * step
-            if sign * nxt > sign * limit:
-                nxt = limit
-            if _max_real_part(model, nxt) >= -margin:
-                return _bisect_boundary(model, d, nxt, delta_tol, margin)
-            d = nxt
-        return None
-
-    upper = march(hi, +1)
-    lower = march(lo, -1)
-    return StabilityInterval(
-        lower=-math.inf if lower is None else lower,
-        upper=math.inf if upper is None else upper,
-        criterion="exact",
-        witnesses={"route": "scan", "step": step},
-        lower_unbounded=lower is None,
-        upper_unbounded=upper is None,
     )
 
 

@@ -215,7 +215,7 @@ def _csv_value(v) -> str:
     if isinstance(v, tuple):
         return "(" + " ".join(repr(float(x)) for x in v) + ")"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))   # a numpy scalar would print as np.float64(...)
     return str(v)
 
 

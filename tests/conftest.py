@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from cgmargin import AnalysisConfig, build_session, run_analysis
-from cgmargin.criteria import sample_locus
+from cgmargin import AnalysisConfig, StabilityInterval, build_session, run_analysis
+from cgmargin.criteria import _max_real_part, sample_locus
+from cgmargin.errors import UnstableFixedPartError
 from cgmargin.mdelta import MDeltaModel, m_transfer, rank_one_factor
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +43,70 @@ def dense_response(M, omegas):
             cc[None, :] * (bb[None, :] / (1j * om[:, None] - lam[None, :]))
         ).sum(axis=1)
     return out
+
+
+def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):
+    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x)).
+
+    A search independent of the program's exact minimax, for oracles.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if abs(b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _bisect_boundary(model, stable, unstable, tol, margin):
+    while abs(unstable - stable) > tol:
+        mid = 0.5 * (stable + unstable)
+        if _max_real_part(model, mid) < -margin:
+            stable = mid
+        else:
+            unstable = mid
+    return 0.5 * (stable + unstable)
+
+
+def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, margin=0.0):
+    """Exact interval by brute-force outward scan plus bisection.
+
+    Independent of the frequency-domain locus; the second route that must
+    agree with exact_bounds.
+    """
+    if _max_real_part(model, 0.0) >= -margin:
+        raise UnstableFixedPartError("nominal closed loop is not stable")
+
+    def march(limit, sign):
+        d = 0.0
+        while sign * d < sign * limit:
+            nxt = d + sign * step
+            if sign * nxt > sign * limit:
+                nxt = limit
+            if _max_real_part(model, nxt) >= -margin:
+                return _bisect_boundary(model, d, nxt, delta_tol, margin)
+            d = nxt
+        return None
+
+    upper = march(hi, +1)
+    lower = march(lo, -1)
+    return StabilityInterval(
+        lower=-math.inf if lower is None else lower,
+        upper=math.inf if upper is None else upper,
+        criterion="exact",
+        witnesses={"route": "scan", "step": step},
+        lower_unbounded=lower is None,
+        upper_unbounded=upper is None,
+    )
 
 
 def rank_one_model(H, Q):

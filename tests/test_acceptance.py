@@ -14,11 +14,9 @@ from cgmargin.criteria import (
     CRITERIA,
     circle_bounds,
     exact_bounds,
-    golden_min,
     popov_bounds,
     positive_real_bounds,
     sample_locus,
-    scan_exact_bounds,
     small_gain_bounds,
     verify_interval,
 )
@@ -26,7 +24,7 @@ from cgmargin.mdelta import rank_one_factor
 from cgmargin.pipeline import parse_report_csv
 
 import reference_values as ref
-from conftest import dense_response
+from conftest import dense_response, golden_min, scan_exact_bounds
 
 ROOT_TOL = 0.02        # roots and gain of the nominal model
 EXACT_TOL = 0.005      # exact bounds vs reference

@@ -60,6 +60,21 @@ class TestAnalyzeCommand:
             assert iv.lower < 0 < iv.upper
         assert "verify exact: ok" in result.output
 
+    def test_report_witnesses_parse(self, runner, tmp_path, result):
+        # every numeric witness is written as a Python float's repr, never
+        # as np.float64(...)
+        out = tmp_path / "out"
+        run_ok(runner, ["analyze", "--out", str(out)])
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        for row in rows:
+            criterion, *_, witnesses = row.split(",")
+            written = dict(item.split("=") for item in witnesses.split(";"))
+            for key, value in result.intervals[criterion].witnesses.items():
+                if isinstance(value, tuple):
+                    assert tuple(map(float, written[key][1:-1].split())) == value
+                elif isinstance(value, float):
+                    assert float(written[key]) == value
+
     def test_criteria_subset_and_aliases(self, runner, tmp_path):
         out = tmp_path / "out"
         run_ok(runner, ["analyze", "--criteria", "smallgain,posreal",

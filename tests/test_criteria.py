@@ -5,17 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from cgmargin import criteria
 from cgmargin.criteria import (
+    _minimax_line,
     _modulus_level,
     _popov_level,
     circle_bounds,
     exact_bounds,
-    golden_min,
     popov_bounds,
     positive_real_bounds,
     require_sound,
     sample_locus,
-    scan_exact_bounds,
     small_gain_bounds,
     verify_interval,
 )
@@ -31,7 +31,13 @@ from cgmargin.lti import (
 from cgmargin.mdelta import closed_loop_matrix
 from cgmargin.pipeline import AnalysisConfig, build_session, run_analysis
 
-from conftest import dense_response, random_rank_one_model, rank_one_model
+from conftest import (
+    dense_response,
+    golden_min,
+    random_rank_one_model,
+    rank_one_model,
+    scan_exact_bounds,
+)
 
 DENSE_OMEGAS = np.logspace(-4, 4, 1_000_000)
 
@@ -101,14 +107,47 @@ class TestGoldenSection:
         assert x == pytest.approx(1.0, abs=1e-6)
 
 
+class TestMinimaxLine:
+    @staticmethod
+    def brute_force(a, b, lo, hi, quad):
+        """min over [lo, hi] of quad*x^2 + max_k (a_k - x b_k), from every
+        candidate: the ends, each pairwise intersection and, with x^2, each
+        line's vertex."""
+        i, j = np.triu_indices(a.size, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (a[i] - a[j]) / (b[i] - b[j])
+        x = np.concatenate([[lo, hi], cross, 0.5 * b if quad else []])
+        x = x[np.isfinite(x) & (lo <= x) & (x <= hi)]
+        phi = quad * x**2 + (a[None, :] - x[:, None] * b[None, :]).max(axis=1)
+        return x[np.argmin(phi)], phi.min()
+
+    @pytest.mark.parametrize("quad", [False, True])
+    def test_matches_brute_force(self, quad):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a, b = rng.normal(size=30), 3.0 * rng.normal(size=30)
+            x = _minimax_line(a, b, -2.0, 2.0, quad=quad)
+            x_bf, phi_bf = self.brute_force(a, b, -2.0, 2.0, quad)
+            assert type(x) is float and -2.0 <= x <= 2.0
+            assert quad * x**2 + (a - x * b).max() == pytest.approx(phi_bf, abs=1e-12)
+            assert x == pytest.approx(x_bf, abs=1e-9)
+
+    @pytest.mark.parametrize("quad", [False, True])
+    def test_minimum_at_an_end(self, quad):
+        # lines that all fall (b > 0) put the minimum at hi, rising ones at lo
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=20), 10.0 + rng.random(20)
+        assert _minimax_line(a, b, -2.0, 2.0, quad=quad) == 2.0
+        assert _minimax_line(a, -b, -2.0, 2.0, quad=quad) == -2.0
+        assert self.brute_force(a, b, -2.0, 2.0, quad)[0] == 2.0
+
+
 class TestSampleLocus:
     def test_grid_properties(self, session):
         s = session.summary
         assert s.omegas[0] == 0.0
         assert np.all(np.diff(s.omegas) > 0)
         assert np.allclose(s.popov_ordinate, s.omegas * s.values.imag)
-        assert s.x_max >= s.values.real.max() - 1e-15
-        assert s.x_min <= s.values.real.min() + 1e-15
 
     def test_crossings_on_real_axis(self, session):
         # M(jw) is real at each zero of M(s) - M(-s), and every sign change
@@ -233,6 +272,40 @@ class TestCertificate:
         w = circle_bounds(coarse).witnesses
         assert np.abs(dense - w["x_c"]).max() <= w["r_c"] * (1 + 1e-9)
 
+    def test_one_solve_per_certificate(self, session, monkeypatch):
+        # the parabola seeds put the first level within CERT_RTOL of the
+        # peak, so no crossing pair is left: one eigen solve per maximum
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return imaginary_zeros(*args)
+
+        monkeypatch.setattr(criteria, "imaginary_zeros", counted)
+        small_gain_bounds(session.summary)
+        assert len(calls) == 1
+        positive_real_bounds(session.summary)
+        assert len(calls) == 1 + 2   # x_max and x_min
+
+    def test_popov_merge_keeps_window(self, session, monkeypatch):
+        # Popov's rounds on an 8-point grid add the certificates' points to
+        # the samples; an unsorted merge moved omegas[-1], the window end
+        # that each certificate reads, onto an interior point
+        coarse = sample_locus(session.model.M, n=8)
+        wmax = coarse.omegas[-1]
+        grids = []
+        certified_max = criteria._certified_max
+
+        def recorded(M, f, crossings, omegas, values):
+            grids.append(omegas)
+            return certified_max(M, f, crossings, omegas, values)
+
+        monkeypatch.setattr(criteria, "_certified_max", recorded)
+        popov_bounds(coarse)
+        assert len(grids) > 4
+        for omegas in grids:
+            assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
+
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     @pytest.mark.parametrize("case", HARD_CASES)
     def test_hard_case_enclosed(self, case, session):
@@ -246,7 +319,13 @@ class TestCertificate:
         r_sg = small_gain_bounds(s).witnesses["r_sg"]
         circle = circle_bounds(s).witnesses
         pr = positive_real_bounds(s).witnesses
-        popov = popov_bounds(s).witnesses
+        if case in ("cb_zero", "flat_at_origin"):
+            # one side's Popov optimum lies at |q| -> inf, past the searched
+            # slopes: phi still falls at the end of the range
+            with pytest.warns(UserWarning, match="not shown optimal"):
+                popov = popov_bounds(s).witnesses
+        else:
+            popov = popov_bounds(s).witnesses
         assert np.abs(m).max() <= r_sg + slack
         assert np.abs(m - circle["x_c"]).max() <= circle["r_c"] + slack
         assert pr["x_min"] - slack <= m.real.min() and m.real.max() <= pr["x_max"] + slack
@@ -375,6 +454,14 @@ class TestPopov:
         inf = np.array([(dense.real - q * oy).min() for q in qs])
         assert sup.min() >= w["c_plus"] - 1e-3 * abs(w["c_plus"])
         assert inf.max() <= w["c_minus"] + 1e-3 * abs(w["c_minus"])
+
+    def test_gap_certifies_aircraft_optimum(self, session):
+        # the certified gap to the optimum over every slope: the lower
+        # bound -11.524 is optimal on the model, not an optimizer shortfall
+        w = popov_bounds(session.summary).witnesses
+        assert w["gap_plus"] <= 2e-8 * abs(w["c_plus"])
+        assert w["gap_minus"] <= 2e-8 * abs(w["c_minus"])
+        assert -1.0 / w["c_plus"] == pytest.approx(-11.524, abs=5e-4)
 
     def test_vertical_reduction_matches_positive_real(self, session):
         pr = positive_real_bounds(session.summary)
