@@ -13,12 +13,13 @@ raised by one parabola step at each near-top sampled peak;
 ``_certified_max`` then raises it until the jw-axis zeros of one
 para-Hermitian function certify it (Bruinsma and Steinbuch, Systems &
 Control Letters 14, 1990; Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).
-The certificate holds over w = 0 and the sampled window [wmin, wmax], not
-beyond it.  The circle's x_c and Popov's q are exact 1-D minimax
-solutions over the points evaluated (``_minimax_line``); Popov's q is
-re-solved with the certificate's points until the certified intercept is
-within 2 * CERT_RTOL * |c| of the optimum over every slope (cutting
-planes; Kelley, J. SIAM 8, 1960).
+The certificate holds over [0, wmax], below wmin included, not beyond
+wmax.  The circle's x_c and Popov's q are exact 1-D minimax solutions over
+the points evaluated (``_minimax_line``); Popov's q starts from the
+samples and the real-axis crossings of M, and is re-solved with the
+certificate's points until the certified intercept is within 2 *
+CERT_RTOL * |c| of the optimum over every slope (cutting planes; Kelley,
+J. SIAM 8, 1960).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
 # upper does on the aircraft), measured to within 3.4e-16 relative
 INSIDE_RTOL = 1e-9
 
-# a certified maximum is level + CERT_RTOL * |level|: nothing in the window
+# a certified maximum is level + CERT_RTOL * |level|: nothing on [0, wmax]
 # exceeds it.  Each round evaluates PER_INTERVAL points inside each interval
 # between consecutive level crossings; more than CERT_ROUNDS rounds warn
 CERT_RTOL = 1e-8
@@ -53,13 +54,11 @@ _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 # parabola step in log w before the first certificate solve
 SEED_RTOL = 1e-3
 
-# Popov slopes are searched on [-Q_MAX, Q_MAX].  Where the optimum over q is a
-# smooth minimum (one binding peak with w Im M = 0, as Popov upper on the
-# aircraft) the cutting planes halve the slope bracket per round, so the gap
-# shrinks about 4x per round: from an 8-point grid that takes 13 rounds.
-# More than POPOV_ROUNDS rounds warn
+# Popov slopes are searched on [-Q_MAX, Q_MAX].  The cutting planes start
+# from the samples plus each real-axis crossing w* of M and w*(1 +- SEED_EPS):
+# a smooth optimum binds where w Im M = 0, and that trio cuts it to O(SEED_EPS)
 Q_MAX = 1e4
-POPOV_ROUNDS = 24
+SEED_EPS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,20 +138,20 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
 
 
 def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.ndarray):
-    """(bound, w, M(jw)): sup of f(M(jw), w) over w = 0 and the window, certified.
+    """(bound, w, M(jw)): sup of f(M(jw), w) over [0, wmax], certified.
 
     ``values`` are samples of M(jw) at ``omegas``, sorted, w = 0 and wmax =
     omegas[-1] among them.  ``crossings(level)`` returns the w >= 0 where
     f(M(jw), w) = level.  Start from the largest of the samples and of the
     parabola seeds (``_parabola_seeds``) and let tol = CERT_RTOL * |level|.
-    Each round finds the crossings of level + tol up to wmax.  As f <= level
-    at every point evaluated, f exceeds level + tol only strictly between
-    two consecutive crossings, and then on the whole interval between them;
-    so PER_INTERVAL points inside each such interval are evaluated, and the
-    level is raised to their max.  Once nothing evaluated exceeds level +
-    tol, or fewer than two crossings remain, level + tol bounds f on the
-    window.  Also returns every point evaluated, the seeds among them, with
-    its M(jw).
+    Each round finds the crossings of level + tol in [0, wmax].  As f <=
+    level at every point evaluated, w = 0 and wmax among them, f exceeds
+    level + tol only strictly between two consecutive crossings, and then on
+    the whole interval between them; so PER_INTERVAL points inside each
+    such interval are evaluated, and the level is raised to their max.  Once
+    nothing evaluated exceeds level + tol, or fewer than two crossings
+    remain, level + tol bounds f on [0, wmax].  Also returns every point
+    evaluated, the seeds among them, with its M(jw).
     """
     wmax = omegas[-1]
     fv = f(values, omegas)
@@ -317,7 +316,7 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
     c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f,
     over |q| <= Q_MAX.  Each side is solved by ``_optimize_popov_line``:
     the reported intercept is certified at the reported slope, so every
-    line (q, c) encloses the continuous locus on the window, and
+    line (q, c) encloses the continuous locus on [0, wmax], and
     ``gap_plus``/``gap_minus`` bound how far c lies from the optimum over
     every slope.  ``slope_search=False`` forces vertical lines, reproducing
     the positive real criterion.
@@ -361,16 +360,24 @@ def _optimize_popov_line(summary: LocusSummary, side: int):
     """(q, c, gap): min_q sup_w f for side=+1, max_q inf_w f for side=-1.
 
     Over the set S of points evaluated so far, phi_S(q) = max_k side * f(q,
-    w_k) is convex and lies below the sup over the window, so min phi_S
+    w_k) is convex and lies below the sup over [0, wmax], so min phi_S
     bounds the optimum from below while the certified c(q) bounds it from
-    above.  Each round sets q to the exact argmin of phi_S
-    (``_minimax_line``), certifies c(q), and stops once gap = c(q) - min
-    phi_S <= 2 * CERT_RTOL * |c|; otherwise the certificate's points join
-    S, kept sorted so that wmax stays omegas[-1].  A loop that ends on
-    POPOV_ROUNDS, or at |q| = Q_MAX with phi_S still falling beyond it,
-    warns that the line is not shown optimal.
+    above.  S starts as the samples plus each real-axis crossing w* of M
+    in (0, wmax] (``_axis_crossings``) and w*(1 +- SEED_EPS) up to wmax:
+    phi's subgradient is -side * w Im M at the binding w, so a smooth
+    optimum binds where w Im M = 0, and those three cuts pin it.  Each
+    round sets q to the exact argmin of phi_S (``_minimax_line``),
+    certifies c(q), and stops once gap = c(q) - min phi_S <= 2 * CERT_RTOL
+    * |c|; otherwise the certificate's points join S, kept sorted so that
+    wmax stays omegas[-1].  A loop that ends on CERT_ROUNDS, or at |q| =
+    Q_MAX with phi_S still falling beyond it, warns that the line is not
+    shown optimal.
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
+
+    def merged(omegas, values, w, m):
+        order = np.argsort(np.concatenate([omegas, w]), kind="stable")
+        return np.concatenate([omegas, w])[order], np.concatenate([values, m])[order]
 
     def argmin(omegas, values):
         a, b = side * values.real, side * omegas * values.imag
@@ -380,20 +387,22 @@ def _optimize_popov_line(summary: LocusSummary, side: int):
         # where the line active still falls outward
         return q, float(a[k] - q * b[k]), abs(q) == Q_MAX and q * b[k] > 0
 
+    w = np.array([wk for wk, _ in _axis_crossings(M, 0.0) if 0.0 < wk <= omegas[-1]])
+    w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
+    w = w[w <= omegas[-1]]
+    omegas, values = merged(omegas, values, w, freq_values(M, w))
     q_next, low, outward = argmin(omegas, values)
-    for _ in range(POPOV_ROUNDS):
+    for _ in range(CERT_ROUNDS):
         q = q_next
-        c, w_seen, m_seen = _certified_max(M, *_popov_level(M, q, side), omegas, values)
-        omegas, values = np.concatenate([omegas, w_seen]), np.concatenate([values, m_seen])
-        order = np.argsort(omegas, kind="stable")
-        omegas, values = omegas[order], values[order]
+        c, w, m = _certified_max(M, *_popov_level(M, q, side), omegas, values)
+        omegas, values = merged(omegas, values, w, m)
         q_next, low, outward = argmin(omegas, values)
         gap = c - low
         if gap <= 2 * CERT_RTOL * abs(c):
             break
     if gap > 2 * CERT_RTOL * abs(c) or outward:
         why = (f"the sampled intercept still falls past |q| = {Q_MAX!r}" if outward
-               else f"gap {gap!r} after {POPOV_ROUNDS} rounds")
+               else f"gap {gap!r} after {CERT_ROUNDS} rounds")
         warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: {why}", stacklevel=3)
     return q, side * c, gap
 
@@ -435,22 +444,23 @@ def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
     ])
 
 
-# crossing sets per model and margin: models are immutable, and an entry
-# goes when its model does
+# crossing sets per system M and margin: systems are immutable, and an
+# entry goes when its system does
 _CROSSINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _axis_crossings(model: MDeltaModel, margin: float) -> tuple:
+def _axis_crossings(M: StateSpace, margin: float) -> tuple:
     """Every (w, x) with x = M(jw - margin) real, w >= 0 and |x| > 1e-12.
 
     These are w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
     (diag(H, -H), [b; b], [c, c]) with H shifted to H + margin*I.  The set
-    is computed once per model and margin.
+    is computed once per system and margin, and keyed on M, so that
+    ``exact_bounds``, ``verify_interval`` (through ``model.M``) and
+    ``popov_bounds`` (through ``summary.system``) share one solve.
     """
-    memo = _CROSSINGS.setdefault(model, {})
+    memo = _CROSSINGS.setdefault(M, {})
     if margin in memo:
         return memo[margin]
-    M = model.M
     if margin != 0.0:
         M = StateSpace(M.A + margin * np.eye(M.nstates), M.B, M.C, M.D)
     H, b, c = M.A, M.B[:, 0], M.C[0]
@@ -484,7 +494,7 @@ def exact_bounds(
     """
     if _max_real_part(model, 0.0) >= -margin:
         raise UnstableFixedPartError("nominal closed loop is not stable")
-    crossings = _axis_crossings(model, margin)
+    crossings = _axis_crossings(model.M, margin)
     upper, up_cross = min(
         ((-1.0 / x, (w, x)) for w, x in crossings if x < 0), default=(math.inf, None)
     )
@@ -522,7 +532,7 @@ def verify_interval(
         raise ValueError("verify_interval requires a finite interval")
     crossings = tuple(
         (-1.0 / x, w)
-        for w, x in _axis_crossings(model, margin)
+        for w, x in _axis_crossings(model.M, margin)
         if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
     )
     if n_samples == 0:

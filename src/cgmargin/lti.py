@@ -97,10 +97,6 @@ class TransferFunction:
             val /= s - p
         return val
 
-    def eval_coeffs(self, s: complex) -> complex:
-        """Evaluate from the polynomial coefficient form."""
-        return complex(np.polyval(self.num, s) / np.polyval(self.den, s))
-
     @property
     def order(self) -> int:
         return len(self.poles)

@@ -45,6 +45,11 @@ def dense_response(M, omegas):
     return out
 
 
+def eval_coeffs(tf, s: complex) -> complex:
+    """A TransferFunction evaluated from its coefficient form num/den."""
+    return complex(np.polyval(tf.num, s) / np.polyval(tf.den, s))
+
+
 def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):
     """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x)).
 

@@ -203,6 +203,19 @@ def _window_sweep(M, oracle):
     return w, np.array([M.evaluate(1j * wk)[0, 0] for wk in w])
 
 
+def _recorded_grids(monkeypatch):
+    """The list that the omegas of every later _certified_max call join."""
+    grids = []
+    certified_max = criteria._certified_max
+
+    def recorded(M, f, crossings, omegas, values):
+        grids.append(omegas)
+        return certified_max(M, f, crossings, omegas, values)
+
+    monkeypatch.setattr(criteria, "_certified_max", recorded)
+    return grids
+
+
 class TestCertificate:
     # M = 1/(s + 1): |M(jw) - x_c|^2 = ((1 - x_c)^2 + x_c^2 w^2) / (1 + w^2) and
     # Re[(1 + jqw) M(jw)] = (1 + q w^2) / (1 + w^2)
@@ -246,7 +259,7 @@ class TestCertificate:
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     @pytest.mark.parametrize("seed, index", [(1, 10), (1, 72), (5, 109)])
     def test_witnesses_bound_to_window(self, seed, index):
-        # the certificate covers w = 0 and the window only: crossings above
+        # the certificate covers [0, wmax] only: crossings above
         # wmax, or the limit w -> inf, must not set a witness
         rng = np.random.default_rng(seed)
         M = [random_rank_one_model(rng, n=32) for _ in range(index + 1)][-1].M
@@ -293,18 +306,90 @@ class TestCertificate:
         # that each certificate reads, onto an interior point
         coarse = sample_locus(session.model.M, n=8)
         wmax = coarse.omegas[-1]
-        grids = []
-        certified_max = criteria._certified_max
-
-        def recorded(M, f, crossings, omegas, values):
-            grids.append(omegas)
-            return certified_max(M, f, crossings, omegas, values)
-
-        monkeypatch.setattr(criteria, "_certified_max", recorded)
+        grids = _recorded_grids(monkeypatch)
         popov_bounds(coarse)
         assert len(grids) > 4
         for omegas in grids:
             assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
+
+    @pytest.mark.parametrize("window, most", [({}, 3), ({"n": 8}, 5), ({"wmin": 1.0}, 4)])
+    def test_popov_certificates_per_call(self, session, monkeypatch, window, most):
+        # seeded with the real-axis crossings, Popov upper's smooth optimum
+        # at w = 0.848 settles in one or two certificates; tangent cuts alone
+        # took 9, 17 and 17 certificates here
+        s = sample_locus(session.model.M, **window)
+        grids = _recorded_grids(monkeypatch)
+        w = popov_bounds(s).witnesses
+        assert len(grids) <= most
+        assert w["gap_plus"] <= 2e-8 * abs(w["c_plus"])
+        assert w["gap_minus"] <= 2e-8 * abs(w["c_minus"])
+
+    def test_popov_shares_crossing_solve(self, session, monkeypatch):
+        # the crossing set is memoized on M: whichever of exact_bounds and
+        # popov_bounds runs first makes the one d = 0 solve, the other none
+        calls = []
+
+        def counted(A, b, c, d=0.0):
+            if d == 0.0:
+                calls.append(A)
+            return imaginary_zeros(A, b, c, d)
+
+        def exact(model):
+            exact_bounds(model)
+
+        def popov(model):
+            popov_bounds(sample_locus(model.M))
+
+        monkeypatch.setattr(criteria, "imaginary_zeros", counted)
+        M = session.model.M
+        for first, second in ((exact, popov), (popov, exact)):
+            # a copy of M has no crossing set yet
+            model = dataclasses.replace(session.model, M=StateSpace(M.A, M.B, M.C, M.D))
+            calls.clear()
+            first(model)
+            assert len(calls) == 1
+            second(model)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("wmax", ["crossing", 0.5])
+    def test_popov_seeds_stay_in_window(self, session, monkeypatch, wmax):
+        # at the crossing w* = wmax the seed equals wmax and w*(1 + SEED_EPS)
+        # is dropped; at 0.5 the crossing lies outside the window, where no
+        # negative real value of M is left, so Popov's upper side is
+        # unbounded on that window
+        if wmax == "crossing":
+            wmax = exact_bounds(session.model).witnesses["upper_crossing"][0]
+            expected = []
+        else:
+            expected = ["popov: intercept of the wrong sign; side reported as unbounded"]
+        s = sample_locus(session.model.M, wmax=wmax)
+        assert s.omegas[-1] == wmax
+        grids = _recorded_grids(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            popov_bounds(s)
+        assert [str(w.message) for w in caught] == expected
+        assert grids
+        for omegas in grids:
+            assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
+
+    def test_certified_below_wmin(self, session):
+        # each certificate's crossings start at w = 0, so it covers [0, wmax],
+        # the gap (0, wmin) below the samples included
+        s = sample_locus(session.model.M, wmin=1.0)
+        w = np.logspace(-6, 0, 100_001)[:-1]
+        m = dense_response(session.model.M, w)
+        r_sg = small_gain_bounds(s).witnesses["r_sg"]
+        circle = circle_bounds(s).witnesses
+        pr = positive_real_bounds(s).witnesses
+        popov = popov_bounds(s).witnesses
+        assert np.abs(m).max() <= r_sg * (1 + 1e-9)
+        assert np.abs(m - circle["x_c"]).max() <= circle["r_c"] * (1 + 1e-9)
+        assert pr["x_min"] - 1e-9 * abs(pr["x_min"]) <= m.real.min()
+        assert m.real.max() <= pr["x_max"] + 1e-9 * abs(pr["x_max"])
+        for q, c, side in ((popov["q_plus"], popov["c_plus"], 1), (popov["q_minus"], popov["c_minus"], -1)):
+            f = side * (m.real - q * w * m.imag)
+            assert f.max() <= side * c + 1e-9 * abs(c)
 
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     @pytest.mark.parametrize("case", HARD_CASES)
