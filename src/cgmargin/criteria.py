@@ -314,12 +314,14 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
     c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f,
-    over |q| <= Q_MAX.  Each side is solved by ``_optimize_popov_line``:
-    the reported intercept is certified at the reported slope, so every
-    line (q, c) encloses the continuous locus on [0, wmax], and
-    ``gap_plus``/``gap_minus`` bound how far c lies from the optimum over
-    every slope.  ``slope_search=False`` forces vertical lines, reproducing
-    the positive real criterion.
+    over |q| <= Q_MAX.  Both sides start from one point set: the samples
+    plus each real-axis crossing w* of M in (0, wmax] and w*(1 +- SEED_EPS)
+    up to wmax, evaluated in one ``freq_values`` call.  Each side is then
+    solved by ``_optimize_popov_line``: the reported intercept is certified
+    at the reported slope, so every line (q, c) encloses the continuous
+    locus on [0, wmax], and ``gap_plus``/``gap_minus`` bound how far c lies
+    from the optimum over every slope.  ``slope_search=False`` forces
+    vertical lines, reproducing the positive real criterion.
     """
     if not slope_search:
         pr = positive_real_bounds(summary)
@@ -338,8 +340,13 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
             upper_unbounded=pr.upper_unbounded,
         )
 
-    q_plus, c_plus, gap_plus = _optimize_popov_line(summary, side=+1)
-    q_minus, c_minus, gap_minus = _optimize_popov_line(summary, side=-1)
+    M, omegas = summary.system, summary.omegas
+    w = np.array([wk for wk, _ in _axis_crossings(M, 0.0) if 0.0 < wk <= omegas[-1]])
+    w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
+    w = w[w <= omegas[-1]]
+    seeded = _merged(omegas, summary.values, w, freq_values(M, w))
+    q_plus, c_plus, gap_plus = _optimize_popov_line(M, *seeded, side=+1)
+    q_minus, c_minus, gap_minus = _optimize_popov_line(M, *seeded, side=-1)
     return _interval_from_intercepts(
         pos=c_plus,
         neg=c_minus,
@@ -356,28 +363,28 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
     )
 
 
-def _optimize_popov_line(summary: LocusSummary, side: int):
+def _merged(omegas: np.ndarray, values: np.ndarray, w: np.ndarray, m: np.ndarray):
+    """(omegas, values) with the points (w, m) added, sorted by frequency."""
+    order = np.argsort(np.concatenate([omegas, w]), kind="stable")
+    return np.concatenate([omegas, w])[order], np.concatenate([values, m])[order]
+
+
+def _optimize_popov_line(M: StateSpace, omegas: np.ndarray, values: np.ndarray, side: int):
     """(q, c, gap): min_q sup_w f for side=+1, max_q inf_w f for side=-1.
 
     Over the set S of points evaluated so far, phi_S(q) = max_k side * f(q,
     w_k) is convex and lies below the sup over [0, wmax], so min phi_S
     bounds the optimum from below while the certified c(q) bounds it from
-    above.  S starts as the samples plus each real-axis crossing w* of M
-    in (0, wmax] (``_axis_crossings``) and w*(1 +- SEED_EPS) up to wmax:
-    phi's subgradient is -side * w Im M at the binding w, so a smooth
-    optimum binds where w Im M = 0, and those three cuts pin it.  Each
-    round sets q to the exact argmin of phi_S (``_minimax_line``),
-    certifies c(q), and stops once gap = c(q) - min phi_S <= 2 * CERT_RTOL
-    * |c|; otherwise the certificate's points join S, kept sorted so that
-    wmax stays omegas[-1].  A loop that ends on CERT_ROUNDS, or at |q| =
-    Q_MAX with phi_S still falling beyond it, warns that the line is not
-    shown optimal.
+    above.  S starts as the points (omegas, values) that ``popov_bounds``
+    seeds: phi's subgradient is -side * w Im M at the binding w, so a smooth
+    optimum binds at a real-axis crossing, and the seeds' cuts pin it.  Each
+    round sets q to the exact argmin of phi_S (``_minimax_line``), certifies
+    c(q), and stops once gap = c(q) - min phi_S <= 2 * CERT_RTOL * |c|;
+    otherwise the certificate's points join S, kept sorted so that wmax
+    stays omegas[-1].  A loop that ends on CERT_ROUNDS, or at |q| = Q_MAX
+    with phi_S still falling beyond it, warns that the line is not shown
+    optimal.
     """
-    M, omegas, values = summary.system, summary.omegas, summary.values
-
-    def merged(omegas, values, w, m):
-        order = np.argsort(np.concatenate([omegas, w]), kind="stable")
-        return np.concatenate([omegas, w])[order], np.concatenate([values, m])[order]
 
     def argmin(omegas, values):
         a, b = side * values.real, side * omegas * values.imag
@@ -387,15 +394,11 @@ def _optimize_popov_line(summary: LocusSummary, side: int):
         # where the line active still falls outward
         return q, float(a[k] - q * b[k]), abs(q) == Q_MAX and q * b[k] > 0
 
-    w = np.array([wk for wk, _ in _axis_crossings(M, 0.0) if 0.0 < wk <= omegas[-1]])
-    w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
-    w = w[w <= omegas[-1]]
-    omegas, values = merged(omegas, values, w, freq_values(M, w))
     q_next, low, outward = argmin(omegas, values)
     for _ in range(CERT_ROUNDS):
         q = q_next
         c, w, m = _certified_max(M, *_popov_level(M, q, side), omegas, values)
-        omegas, values = merged(omegas, values, w, m)
+        omegas, values = _merged(omegas, values, w, m)
         q_next, low, outward = argmin(omegas, values)
         gap = c - low
         if gap <= 2 * CERT_RTOL * abs(c):

@@ -17,10 +17,6 @@ class DimensionError(CgMarginError):
     """Matrix dimensions are inconsistent for the requested operation."""
 
 
-class PoleOnGridError(CgMarginError):
-    """A frequency-response sample coincides with an imaginary-axis pole."""
-
-
 class SingularMassMatrixError(CgMarginError):
     """The longitudinal mass matrix is singular (m - Zwdot <= 0)."""
 

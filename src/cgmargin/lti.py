@@ -1,9 +1,9 @@
 """Minimal continuous-time LTI algebra.
 
 Transfer functions in zero/pole/gain form, state-space realizations,
-eigenvalues, imaginary-axis zeros, and frequency response.  Everything
-here is real-coefficient, continuous-time, and immutable after
-construction.
+eigenvalues, zeros (all read off one primitive, ``_zero_dynamics``), and
+frequency response.  Everything here is real-coefficient, continuous-time,
+and immutable after construction.
 
 The frequency response of many points (``freq_values``, ``freq_response``)
 costs O(n^3) once per system and O(n^2) per point: the system is reduced
@@ -415,38 +415,15 @@ def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
     return FrequencyLocus(omegas, values)
 
 
-def tf_of_ss(sys: StateSpace, trim_tol: float = 1e-9) -> TransferFunction:
-    """zpk form of a SISO state-space system.
-
-    The denominator is the characteristic polynomial of A; numerator
-    coefficients are recovered by evaluating den(s) * (C (sI-A)^-1 B + D)
-    at probe points and solving the resulting Vandermonde system.
-    Leading numerator coefficients below trim_tol (relative to the
-    largest) are trimmed before rooting.
-    """
+def tf_of_ss(sys: StateSpace) -> TransferFunction:
+    """zpk form of a SISO state-space system: the zeros and gain of
+    ``_zero_dynamics`` over the eigenvalues of A."""
     if sys.ninputs != 1 or sys.noutputs != 1:
         raise DimensionError("tf_of_ss requires a SISO system")
-    n = sys.nstates
-    if n == 0:
+    if sys.nstates == 0:
         return tf_from_zpk([], [], float(sys.D[0, 0]))
-    den = np.poly(sys.A).real
-    poles = eigenvalues(sys.A)
-    radius = 1.0 + float(np.max(np.abs(poles)))
-    pts = radius * np.exp(2j * np.pi * (np.arange(2 * n + 2) + 0.25) / (2 * n + 2))
-    rhs = np.array(
-        [sys.evaluate(s)[0, 0] * np.polyval(den, s) for s in pts]
-    )
-    vand = np.vander(pts, n + 1)
-    num, *_ = np.linalg.lstsq(vand, rhs, rcond=None)
-    num = num.real
-    scale = np.max(np.abs(num))
-    k = 0
-    while k < n and abs(num[k]) < trim_tol * scale:
-        k += 1
-    num = num[k:]
-    zeros = np.roots(num)
-    _check_conjugate_closed(zeros, "zero")
-    return tf_from_zpk(zeros, poles, float(num[0]))
+    zeros, gain = _zero_dynamics(sys.A, sys.B[:, 0], sys.C[0], float(sys.D[0, 0]))
+    return tf_from_zpk(zeros, eigenvalues(sys.A), gain)
 
 
 def eigenvalues(A) -> np.ndarray:
@@ -459,59 +436,63 @@ def eigenvalues(A) -> np.ndarray:
     return lam[order]
 
 
-def is_hurwitz(A, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue has real part < -margin."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] == 0:
-        return True
-    return bool(np.max(eigenvalues(A).real) < -margin)
+def is_hurwitz(A) -> bool:
+    """True iff every eigenvalue has negative real part."""
+    return bool(np.all(eigenvalues(A).real < 0.0))
 
 
-def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
-    """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw.
+def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
+    """(zeros, gain): every invariant zero of c (sI - A)^-1 b + d and the
+    leading coefficient of its numerator.
 
-    With d != 0 the zeros are the eigenvalues of A - b c / d.  b is first
-    mapped to beta e1 (``_map_to_first``), so the rank-one term fills one
-    row, which the balancing inside ``eigvals`` scales down; without it a
-    small d, with large entries in b c / d, pushes on-axis zeros off the
-    axis.
+    With d != 0 the zeros are the eigenvalues of A - b c / d and the gain is
+    d (b != 0, or A's eigenvalues come back).  b is first mapped to beta e1
+    (``_map_to_first``), so the rank-one term fills one row, which the
+    balancing inside ``eigvals`` scales down; without it a small d, with
+    large entries in b c / d, pushes on-axis zeros off the axis.
 
     With d = 0 the zeros are those of the zero dynamics (Emami-Naeini and
     Van Dooren, Automatica 18(4), 1982): with c A^k b the first nonzero
-    Markov parameter, A - b c A^(k+1) / (c A^k b) leaves the null space of
-    the rows c, cA, ..., cA^k invariant, and its restriction there has the
-    n - k - 1 zeros as eigenvalues.  Deflating by the relative degree this
-    way adds no spurious zeros at the origin when cb = 0.
-
-    A zero of multiplicity m is found only to about eps^(1/m), like any
-    multiple eigenvalue, so it may fall off the axis and be left out.  A
-    transfer function that is identically zero, or constant, returns no
-    zeros.
+    Markov parameter, the gain, A - b c A^(k+1) / (c A^k b) leaves the null
+    space of the rows c, cA, ..., cA^k invariant, and its restriction there
+    has the n - k - 1 zeros as eigenvalues.  Deflating by the relative
+    degree this way adds no spurious zeros at the origin when cb = 0.  A
+    function that is identically zero has no zeros and gain 0.  A zero of
+    multiplicity m is found only to about eps^(1/m).
     """
+    if d != 0.0:
+        A, c = A.copy(), c.copy()
+        beta = _map_to_first(A, c, 0, b)
+        A[0] -= (beta / d) * c
+        return np.linalg.eigvals(A), d
+    rows = [c]
+    while abs(rows[-1] @ b) <= MARKOV_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
+        if len(rows) >= A.shape[0]:
+            return np.empty(0), 0.0
+        rows.append(rows[-1] @ A)
+    last = rows[-1]
+    R = np.array([r / np.linalg.norm(r) for r in rows])
+    null = np.linalg.svd(R)[2][len(rows):].T
+    Z = null.T @ (A - np.outer(b, (last @ A) / (last @ b))) @ null
+    lam = np.linalg.eigvals(Z)
+    lam[np.abs(lam) <= AXIS_RTOL * np.linalg.norm(Z, 1)] = 0.0
+    return lam, float(last @ b)
+
+
+def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
+    """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw:
+    the zeros of ``_zero_dynamics`` on the jw-axis (a multiple zero may fall
+    off it).  A function that is identically zero, or constant, has none."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,) or c.shape != (n,):
         raise DimensionError("imaginary_zeros needs a SISO realization")
-    if d != 0.0:
-        A, c = A.copy(), c.copy()
-        beta = _map_to_first(A, c, 0, b)
-        A[0] -= (beta / d) * c
-        # with b = 0 the function is the constant d: A's eigenvalues are no zeros
-        lam = np.linalg.eigvals(A) if beta != 0.0 else np.empty(0)
-    else:
-        rows = [c]
-        while abs(rows[-1] @ b) <= MARKOV_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
-            if len(rows) >= n:
-                return np.empty(0)
-            rows.append(rows[-1] @ A)
-        last = rows[-1]
-        R = np.array([r / np.linalg.norm(r) for r in rows])
-        null = np.linalg.svd(R)[2][len(rows):].T
-        Z = null.T @ (A - np.outer(b, (last @ A) / (last @ b))) @ null
-        lam = np.linalg.eigvals(Z)
-        lam[np.abs(lam) <= AXIS_RTOL * np.linalg.norm(Z, 1)] = 0.0
+    if d != 0.0 and not b.any():
+        # the constant d: A's eigenvalues would cancel the poles
+        return np.empty(0)
+    lam = _zero_dynamics(A, b, c, d)[0]
     on_axis = np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)
     # not np.unique: it imports numpy.ma (numpy 2.4), 14 ms and 1.4 MiB per CLI run
     w = np.sort(np.abs(lam.imag[on_axis]))

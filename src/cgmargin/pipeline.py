@@ -26,12 +26,6 @@ DEFAULT_KQ = 1.6
 DEFAULT_KALPHA = 1.72
 
 
-def default_controller() -> TransferFunction:
-    return tf_from_zpk(
-        DEFAULT_CONTROLLER_ZEROS, DEFAULT_CONTROLLER_POLES, DEFAULT_CONTROLLER_GAIN
-    )
-
-
 @dataclass
 class AnalysisConfig:
     """All knobs of an analysis run; defaults reproduce the bundled model."""

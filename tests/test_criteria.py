@@ -324,6 +324,25 @@ class TestCertificate:
         assert w["gap_plus"] <= 2e-8 * abs(w["c_plus"])
         assert w["gap_minus"] <= 2e-8 * abs(w["c_minus"])
 
+    def test_popov_evaluates_seeds_once(self, session, monkeypatch):
+        # both sides start from one seeded point set: the real-axis crossings
+        # of M go through freq_values in one call, not one call per side
+        s = session.summary
+        w = real_value_frequencies(s.system)
+        w = w[(w > 0) & (w <= s.omegas[-1])]
+        criteria._axis_crossings(s.system, 0.0)   # memoized before counting
+        calls = []
+
+        def recorded(M, omegas):
+            calls.append(np.asarray(omegas))
+            return freq_values(M, omegas)
+
+        monkeypatch.setattr(criteria, "freq_values", recorded)
+        popov_bounds(s)
+        seeded = [om for om in calls if np.isin(w, om).any()]
+        assert w.size and len(seeded) == 1
+        assert np.isin(w, seeded[0]).all()
+
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
         # the crossing set is memoized on M: whichever of exact_bounds and
         # popov_bounds runs first makes the one d = 0 solve, the other none

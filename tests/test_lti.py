@@ -14,6 +14,7 @@ from cgmargin.lti import (
     tf_from_zpk,
     tf_of_ss,
 )
+from cgmargin.pipeline import AnalysisConfig, format_model_dump, run_analysis
 
 from conftest import dense_response, eval_coeffs, random_rank_one_model
 
@@ -26,6 +27,10 @@ K_ZEROS = (-5.14, -0.615, -0.0171)
 K_POLES_PAIR = np.roots([1, 7.22, 13.6])
 K_POLES = (-0.356, -0.0175, K_POLES_PAIR[0], K_POLES_PAIR[1])
 K_GAIN = 3.14
+
+# biproper test system: zeros at +-2j, 1 and -3
+FT_ZEROS = (2j, -2j, 1.0, -3.0)
+FT_POLES = (-1.0, -2.0, -0.5 + 1j, -0.5 - 1j)
 
 
 @pytest.fixture(scope="module")
@@ -222,10 +227,6 @@ class TestEigen:
         assert np.allclose(lam, [-2.0, -1.0])
         assert is_hurwitz(np.diag([-1.0, -2.0]))
 
-    def test_margin(self):
-        assert not is_hurwitz(np.diag([-0.05]), margin=0.1)
-        assert is_hurwitz(np.diag([-0.2]), margin=0.1)
-
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             eigenvalues(np.zeros((2, 3)))
@@ -259,7 +260,7 @@ class TestImaginaryZeros:
     def test_feedthrough(self, gain):
         # biproper, so d = gain; the zeros at +-2j, 1 and -3 come back from
         # the eigenvalues of A - b c / d, the pair on the axis only
-        ss = ss_realize(tf_from_zpk([2j, -2j, 1.0, -3.0], [-1.0, -2.0, -0.5 + 1j, -0.5 - 1j], gain))
+        ss = ss_realize(tf_from_zpk(FT_ZEROS, FT_POLES, gain))
         assert ss.D[0, 0] == pytest.approx(gain)
         w = imaginary_zeros(ss.A, ss.B, ss.C, ss.D[0, 0])
         assert w == pytest.approx([2.0], rel=1e-12)
@@ -278,3 +279,43 @@ class TestTfOfSs:
             np.sort_complex(np.array(g_tf.zeros)),
             atol=1e-8,
         )
+
+    def test_exact_on_bundled_m(self, session):
+        # zpk read off the realization, against one LU solve per point
+        M = session.model.M
+        tf = tf_of_ss(M)
+        s = 1j * np.logspace(-4, 4, 81)
+        per_point = np.array([M.evaluate(sk)[0, 0] for sk in s])
+        err = np.abs(np.array([tf(sk) for sk in s]) - per_point)
+        assert err.max() <= 1e-10 * np.abs(per_point).max()
+
+    def test_augmented_nominal_gain_is_first_markov_parameter(self, session):
+        sys = session.augmented.nominal
+        tf = tf_of_ss(sys)
+        assert len(tf.zeros) == 2 and len(tf.poles) == 4
+        cab = (sys.C @ sys.A @ sys.B)[0, 0]
+        assert abs(tf.gain - cab) <= 1e-14 * abs(cab)
+
+    @pytest.mark.parametrize("gain", [2.0, 1e-9])
+    def test_biproper(self, gain):
+        back = tf_of_ss(ss_realize(tf_from_zpk(FT_ZEROS, FT_POLES, gain)))
+        assert back.gain == pytest.approx(gain, rel=1e-12)
+        assert np.allclose(np.sort_complex(back.zeros), np.sort_complex(FT_ZEROS), atol=1e-8)
+
+    def test_constant(self):
+        tf = tf_of_ss(StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[3.0]]))
+        assert tf.gain == 3.0 and tf.zeros == () and tf.poles == ()
+
+    def test_identically_zero(self):
+        tf = tf_of_ss(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]))
+        assert tf.gain == 0.0 and tf.zeros == ()
+        assert tf(1j) == 0.0
+
+
+def test_analysis_makes_no_scalar_response_call(monkeypatch):
+    def forbidden(self, s):
+        raise AssertionError("StateSpace.evaluate called")
+
+    monkeypatch.setattr(StateSpace, "evaluate", forbidden)
+    result = run_analysis(AnalysisConfig())
+    assert "eta_to_theta zpk:" in format_model_dump(result.session)
