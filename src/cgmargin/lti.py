@@ -32,6 +32,7 @@ CONJUGATE_TOL = 1e-10
 
 # bytes of a stacked work array: complex n-vectors per frequency in the
 # response recurrence, real n x n matrices per delta in verify_interval
+# (whose two-thread split may take more, see criteria.GIL_FREE_SIZE)
 STACK_BYTES = 512 * 1024
 # a frequency's recurrence vector is rescaled once an entry passes this;
 # without it n = 128 overflows near w = 1e4

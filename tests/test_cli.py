@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cgmargin import svgplot
+from cgmargin import criteria, svgplot
 from cgmargin.aircraft import load_default_model, load_model_file
 from cgmargin.cli import FIGURES, main
+from cgmargin.criteria import CRITERIA
 from cgmargin.pipeline import parse_report_csv
 
 
@@ -164,6 +165,19 @@ class TestVerifyCommand:
                                  "--out", str(tmp_path)])
         assert result.output.count("PASS") == 5
         assert "FAIL" not in result.output
+
+    def test_audits_each_interval_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        audit = criteria.verify_interval
+
+        def counted(model, interval, n_samples, margin=0.0):
+            calls.append((interval.criterion, n_samples))
+            return audit(model, interval, n_samples, margin)
+
+        monkeypatch.setattr(criteria, "verify_interval", counted)
+        result = run_ok(runner, ["verify", "--n-samples", "20", "--out", str(tmp_path)])
+        assert sorted(calls) == sorted((name, 20) for name in CRITERIA)
+        assert result.output.splitlines() == [f"{name:<14} PASS (20 samples)" for name in CRITERIA]
 
     def test_tampered_results_fail(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cgmargin import criteria
 from cgmargin.criteria import (
+    StabilityInterval,
     _minimax_line,
     _modulus_level,
     _popov_level,
@@ -779,3 +781,73 @@ class TestVerification:
             iv = positive_real_bounds(s)
         with pytest.raises(ValueError):
             verify_interval(session.model, iv, 10)
+
+
+class TestSplitAudit:
+    """The sampled audit's eigen solves on a worker thread and the caller."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(criteria, "_cpus", lambda: 2)
+
+    @staticmethod
+    def record_workers(monkeypatch):
+        """Extra threads alive as each worker starts, one entry per worker."""
+        base = threading.active_count()
+        alive = []
+
+        class Recorded(threading.Thread):
+            def run(self):
+                alive.append(threading.active_count() - base)
+                super().run()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return alive
+
+    # n = 128: 50 deltas in 7 stacks of up to 8, the last 2 too few to split
+    @pytest.mark.parametrize("n, workers", [(24, 1), (32, 1), (64, 3), (128, 6)])
+    def test_equals_serial_eigvals(self, monkeypatch, n, workers):
+        model = random_rank_one_model(np.random.default_rng(0), n)
+        deltas = np.linspace(-1.0, 1.0, 52)[1:-1]
+        reference = np.array([
+            np.linalg.eigvals(closed_loop_matrix(model, float(d))).real.max() for d in deltas
+        ])
+        before = threading.active_count()
+        alive = self.record_workers(monkeypatch)
+        got = criteria._max_real_parts(model, deltas)
+        assert got.tobytes() == reference.tobytes()
+        assert alive == [1] * workers
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_worker_failure_is_raised(self, monkeypatch, cpus):
+        monkeypatch.setattr(criteria, "_cpus", lambda: cpus)
+        model = random_rank_one_model(np.random.default_rng(0), 32)
+        # with max |Qcal| = 2, delta*Qcal overflows to inf past delta = 9e307:
+        # among the 50 samples of (-1, 1.5e308), only in the second half
+        model = dataclasses.replace(model, Qcal=2.0 * model.Qcal / np.abs(model.Qcal).max())
+        iv = StabilityInterval(lower=-1.0, upper=1.5e308, criterion="small_gain", witnesses={})
+        deltas = np.linspace(iv.lower, iv.upper, 52)[1:-1]
+        before = threading.active_count()
+        with np.errstate(over="ignore"):
+            stack = closed_loop_matrix(model, deltas[:, None, None])
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            assert finite[:25].all() and not finite.all()
+            criteria._max_real_parts(model, deltas[:25])
+            with pytest.raises(np.linalg.LinAlgError):
+                verify_interval(model, iv, 50)
+        assert threading.active_count() == before
+
+
+def test_audit_makes_no_thread_at_n8(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(criteria, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", forbidden)
+    result = run_analysis(AnalysisConfig())
+    assert result.all_sound
+    # 100 matrices of 8 x 8 per half would run without the GIL: only
+    # SPLIT_MIN_N keeps this serial
+    report = verify_interval(result.session.model, result.intervals["exact"], 200)
+    assert report.passed and report.n_checked == 200
