@@ -166,7 +166,7 @@ def assemble_longitudinal(fc: FlightCondition, dd: DimensionalDerivatives):
 def to_state_space(Mass, A_t, B_t, V0: float) -> StateSpace:
     """Explicit state-space form A = Mass^-1 A_t, B = Mass^-1 B_t.
 
-    Outputs are (theta, q, alpha) with alpha = w / V0; D = 0.
+    States are (u, w, q, theta), outputs (theta, q, alpha) with alpha = w / V0; D = 0.
     """
     Mass = np.asarray(Mass, dtype=float)
     if abs(np.linalg.det(Mass)) < 1e-300:
@@ -181,15 +181,7 @@ def to_state_space(Mass, A_t, B_t, V0: float) -> StateSpace:
         ]
     )
     D = np.zeros((3, 1))
-    return StateSpace(
-        A,
-        B,
-        C,
-        D,
-        state_names=("u", "w", "q", "theta"),
-        input_names=("eta",),
-        output_names=("theta", "q", "alpha"),
-    )
+    return StateSpace(A, B, C, D)
 
 
 def inner_loop_gain_row(Kq: float, Kalpha: float) -> np.ndarray:
@@ -209,15 +201,7 @@ def inner_loop_stabilize(plant: StateSpace, Kq: float, Kalpha: float) -> StateSp
     K = inner_loop_gain_row(Kq, Kalpha)
     A = plant.A - plant.B @ K @ plant.C
     C_theta = plant.C[:1, :]
-    return StateSpace(
-        A,
-        plant.B,
-        C_theta,
-        np.zeros((1, 1)),
-        state_names=plant.state_names,
-        input_names=("eta_cmd",),
-        output_names=("theta",),
-    )
+    return StateSpace(A, plant.B, C_theta, np.zeros((1, 1)))
 
 
 def uncertain_derivatives(dd: DimensionalDerivatives, delta: float) -> DimensionalDerivatives:

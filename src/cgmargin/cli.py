@@ -122,7 +122,7 @@ def cmd_model(out_dir: Path, **kw):
     show_default=True,
     help="Comma-separated subset of: " + ", ".join(CRITERIA),
 )
-@click.option("--n-verify", type=int, default=50, show_default=True,
+@click.option("--n-verify", type=click.IntRange(min=0), default=50, show_default=True,
               help="Interior stability samples per interval.")
 @_common_options
 def cmd_analyze(criteria_list: str, n_verify: int, out_dir: Path, **kw):
@@ -229,7 +229,7 @@ def _figure_rows(session, config, figure: str):
 
 
 @main.command("verify")
-@click.option("--n-samples", type=int, default=100, show_default=True)
+@click.option("--n-samples", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option(
     "--results",
     type=click.Path(exists=True, dir_okay=False, path_type=Path),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SoundnessError, UnstableFixedPartError
+from .errors import DimensionError, UnstableFixedPartError
 from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, imaginary_zeros, is_hurwitz
 from .mdelta import MDeltaModel, closed_loop_matrix
 
@@ -445,12 +445,9 @@ def _interval_from_intercepts(pos, neg, criterion, witnesses):
 # Exact analysis
 
 
-def _max_real_part(model: MDeltaModel, delta: float) -> float:
-    return float(np.linalg.eigvals(closed_loop_matrix(model, delta)).real.max())
-
-
 def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
-    """_max_real_part of each delta: stacked eigvals, STACK_BYTES at a time.
+    """Largest eigenvalue real part of H + delta*Qcal for each delta: stacked
+    eigvals, STACK_BYTES at a time.
 
     With SPLIT_MIN_N states or more and two CPUs, a stack whose halves can
     run without the GIL is split: a worker thread solves the second half
@@ -557,7 +554,7 @@ def exact_bounds(
     not off a sampled locus.  It stays for callers that pass it
     positionally.
     """
-    if _max_real_part(model, 0.0) >= -margin:
+    if _max_real_parts(model, np.zeros(1))[0] >= -margin:
         raise UnstableFixedPartError("nominal closed loop is not stable")
     crossings = _axis_crossings(model.M, margin)
     upper, up_cross = min(
@@ -589,50 +586,41 @@ def verify_interval(
     INSIDE_RTOL*|delta*|: an eigenvalue sits on Re s = -margin there (see
     exact_bounds), so this verdict covers the whole interval.
     ``failures`` holds the n_samples evenly spaced interior deltas that
-    are not stable; for the exact interval the matrix must additionally be
-    unstable just outside each finite bound (at bound +- 1e-3*|bound|).
-    The report passes only if both are empty.
+    are not stable (none if lower >= upper); for the exact interval the
+    matrix must additionally be unstable just outside each bound (at bound
+    +- 1e-3*|bound|).  The report passes only if both are empty.
+    n_samples = 0 warns that the sampled audit is vacuous.
     """
     if interval.lower_unbounded or interval.upper_unbounded:
         raise ValueError("verify_interval requires a finite interval")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     crossings = tuple(
         (-1.0 / x, w)
         for w, x in _axis_crossings(model.M, margin)
         if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
     )
+    notes = ""
     if n_samples == 0:
         warnings.warn(
             f"{interval.criterion}: n_samples = 0, the sampled audit is vacuous",
             stacklevel=2,
         )
-        return VerificationReport(
-            criterion=interval.criterion,
-            passed=not crossings,
-            n_checked=0,
-            failures=(),
-            crossings=crossings,
-            notes="vacuous (no samples)",
-        )
-    if interval.upper <= interval.lower:
-        return VerificationReport(
-            criterion=interval.criterion,
-            passed=True,
-            n_checked=0,
-            failures=(),
-            notes="degenerate interval",
-        )
-    deltas = np.linspace(interval.lower, interval.upper, n_samples + 2)[1:-1]
+        notes = "vacuous (no samples)"
+    deltas = np.empty(0)
+    if interval.lower < interval.upper:
+        deltas = np.linspace(interval.lower, interval.upper, n_samples + 2)[1:-1]
     failures = [
         (float(d), float(mr))
         for d, mr in zip(deltas, _max_real_parts(model, deltas))
         if mr >= -margin
     ]
-    notes = ""
     if interval.criterion == "exact":
-        for bound in (interval.lower, interval.upper):
-            outside = bound * (1 + 1e-3) if bound != 0 else 1e-3
-            if _max_real_part(model, outside) < -margin:
-                failures.append((outside, _max_real_part(model, outside)))
+        bounds = (interval.lower, interval.upper)
+        outside = np.array([b * (1 + 1e-3) if b != 0 else 1e-3 for b in bounds])
+        for d, mr in zip(outside, _max_real_parts(model, outside)):
+            if mr < -margin:
+                failures.append((float(d), float(mr)))
                 notes = "expected instability just outside the exact bound"
     return VerificationReport(
         criterion=interval.criterion,
@@ -642,18 +630,3 @@ def verify_interval(
         crossings=crossings,
         notes=notes,
     )
-
-
-def require_sound(report: VerificationReport) -> None:
-    if report.crossings:
-        d, w = report.crossings[0]
-        raise SoundnessError(
-            f"{report.criterion} interval contains delta = {d}, where an "
-            f"eigenvalue reaches the stability boundary at w = {w}"
-        )
-    if not report.passed:
-        d, mr = report.failures[0]
-        raise SoundnessError(
-            f"{report.criterion} interval failed verification at delta = {d} "
-            f"(max eigenvalue real part {mr:.3e})"
-        )

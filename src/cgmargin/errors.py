@@ -31,7 +31,3 @@ class UnstableFixedPartError(CgMarginError):
 
 class ModelFileError(CgMarginError):
     """A model-definition file is missing, malformed, or incomplete."""
-
-
-class SoundnessError(CgMarginError):
-    """A stability interval failed interior-stability verification."""

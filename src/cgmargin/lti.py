@@ -16,7 +16,6 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.6.1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -127,15 +126,12 @@ def tf_from_zpk(zeros, poles, gain: float) -> TransferFunction:
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """State-space system (A, B, C, D) with optional signal labels."""
+    """State-space system (A, B, C, D)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    state_names: tuple = ()
-    input_names: tuple = ()
-    output_names: tuple = ()
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -318,24 +314,28 @@ def _controller_hessenberg(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return A[:m, :m], beta, c[:m]
 
 
-def _response(sys: StateSpace, om: np.ndarray):
-    """(values, singular) of C (jwI - A)^-1 B + D at each w of a 1-D array.
+def freq_values(sys: StateSpace, omegas) -> np.ndarray:
+    """C (jwI - A)^-1 B + D of a SISO system at each w of a 1-D array.
 
-    Per frequency this is Hyman's recurrence on the cached controller
-    Hessenberg form (H, beta, h): with x_n = 1, rows n..2 of
-    (sI - H) x = t e1 give x_(k-1) = ((s - h_kk) x_k - sum_(j>k) h_kj x_j)
-    / h_(k,k-1), row 1 gives t, and M = beta (h . x) / t + D.  Each step is
-    one product along the frequency axis, in chunks of at most STACK_BYTES
-    of x.  ``singular`` marks t = 0 exactly (a pole at that jw), where the
-    value is meaningless.
+    The frequencies may come in any order.  Per frequency this is Hyman's
+    recurrence on the controller Hessenberg form (H, beta, h), computed once
+    per system and cached on it (``StateSpace.controller_hessenberg``):
+    with x_n = 1, rows n..2 of (sI - H) x = t e1 give x_(k-1) = ((s - h_kk)
+    x_k - sum_(j>k) h_kj x_j) / h_(k,k-1), row 1 gives t, and M = beta (h .
+    x) / t + D.  Each step is one product along the frequency axis, in
+    chunks of at most STACK_BYTES of x, so each value costs O(n^2).  Against
+    ``evaluate`` (one LU solve per point) the values agree to 2e-14 of max
+    |M| on the aircraft and on random systems of 32 and 128 states, and to
+    1e-10 of |M| where the aircraft's M nears its zero at the origin.
+    Raises LinAlgError where t = 0 exactly: a frequency on an
+    imaginary-axis pole.
     """
+    om = np.asarray(omegas, dtype=float)
     H, beta, h = sys.controller_hessenberg
-    d = complex(sys.D[0, 0])
     n = H.shape[0]
-    values = np.full(om.shape, d)
-    singular = np.zeros(om.shape, dtype=bool)
+    values = np.full(om.shape, complex(sys.D[0, 0]))
     if n == 0:
-        return values, singular
+        return values
     # step k multiplies max |x| by at most (|s| + sum_(j>=k) |h_kj|) / |h_(k,k-1)|;
     # a chunk whose product of these stays below RESCALE_AT needs no check
     row_sums = np.abs(np.triu(H)).sum(axis=1)[1:]
@@ -358,62 +358,23 @@ def _response(sys: StateSpace, om: np.ndarray):
                 if big.any():
                     x[k - 1 :, big] /= mag[big]
         t = s * x[0] - H[0] @ x
-        zero = t == 0
-        t[zero] = 1.0
+        if not t.all():
+            raise np.linalg.LinAlgError(
+                f"imaginary-axis pole at w = {om[lo : lo + size][t == 0][0]} rad/s"
+            )
         values[lo : lo + size] += beta * (h @ x) / t
-        singular[lo : lo + size] = zero
-    return values, singular
-
-
-def freq_values(sys: StateSpace, omegas) -> np.ndarray:
-    """C (jwI - A)^-1 B + D of a SISO system at each w of a 1-D array.
-
-    The frequencies may come in any order.  Each value costs O(n^2): one
-    recurrence on the controller Hessenberg form, which is computed once
-    per system and cached on it (``StateSpace.controller_hessenberg``).
-    Against ``evaluate`` (one LU solve per point) the values agree to
-    2e-14 of max |M| on the aircraft and on random systems of 32 and 128
-    states, and to 1e-10 of |M| where the aircraft's M nears its zero at
-    the origin.  Raises LinAlgError if a frequency hits an imaginary-axis
-    pole exactly.
-    """
-    om = np.asarray(omegas, dtype=float)
-    values, singular = _response(sys, om)
-    if singular.any():
-        raise np.linalg.LinAlgError(
-            f"imaginary-axis pole at w = {om[singular][0]} rad/s"
-        )
     return values
 
 
 def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
-    """Sample C (jwI - A)^-1 B + D of a SISO system over a frequency grid.
-
-    The grid is evaluated as ``freq_values`` does.  A grid point that hits
-    an imaginary-axis pole is perturbed by one grid step times 1e-6, with a
-    warning; no other sample changes.
-    """
+    """Sample C (jwI - A)^-1 B + D of a SISO system over a frequency grid,
+    nonnegative and strictly increasing, as ``freq_values`` does."""
     if sys.ninputs != 1 or sys.noutputs != 1:
         raise DimensionError("freq_response requires a SISO system")
     om = np.asarray(grid, dtype=float)
     if om.ndim != 1 or om.size == 0:
         raise DimensionError("grid must be a nonempty 1-D array")
-    if np.any(om < 0) or np.any(np.diff(om) <= 0):
-        raise DimensionError("grid must be nonnegative and strictly increasing")
-    omegas = om.copy()
-    values, singular = _response(sys, om)
-    for i in np.flatnonzero(singular):
-        step = om[min(i + 1, om.size - 1)] - om[max(i - 1, 0)]
-        if step <= 0:
-            step = max(abs(om[i]), 1.0)
-        omegas[i] = om[i] + step * 1e-6
-        warnings.warn(
-            f"frequency {om[i]} rad/s coincides with an "
-            f"imaginary-axis pole; perturbed to {omegas[i]}",
-            stacklevel=2,
-        )
-        values[i] = freq_values(sys, omegas[i : i + 1])[0]
-    return FrequencyLocus(omegas, values)
+    return FrequencyLocus(om, freq_values(sys, om))
 
 
 def tf_of_ss(sys: StateSpace) -> TransferFunction:

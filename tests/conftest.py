@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgmargin import AnalysisConfig, StabilityInterval, build_session, run_analysis
-from cgmargin.criteria import _max_real_part, sample_locus
+from cgmargin.criteria import sample_locus
 from cgmargin.errors import UnstableFixedPartError
 from cgmargin.mdelta import MDeltaModel, m_transfer, rank_one_factor
 
@@ -72,10 +72,15 @@ def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200
     return (c, fc) if fc < fd else (d, fd)
 
 
+def max_real_part(model, delta):
+    """Largest eigenvalue real part of H + delta*Qcal, one matrix at a time."""
+    return float(np.linalg.eigvals(model.H + delta * model.Qcal).real.max())
+
+
 def _bisect_boundary(model, stable, unstable, tol, margin):
     while abs(unstable - stable) > tol:
         mid = 0.5 * (stable + unstable)
-        if _max_real_part(model, mid) < -margin:
+        if max_real_part(model, mid) < -margin:
             stable = mid
         else:
             unstable = mid
@@ -88,7 +93,7 @@ def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, marg
     Independent of the frequency-domain locus; the second route that must
     agree with exact_bounds.
     """
-    if _max_real_part(model, 0.0) >= -margin:
+    if max_real_part(model, 0.0) >= -margin:
         raise UnstableFixedPartError("nominal closed loop is not stable")
 
     def march(limit, sign):
@@ -97,7 +102,7 @@ def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, marg
             nxt = d + sign * step
             if sign * nxt > sign * limit:
                 nxt = limit
-            if _max_real_part(model, nxt) >= -margin:
+            if max_real_part(model, nxt) >= -margin:
                 return _bisect_boundary(model, d, nxt, delta_tol, margin)
             d = nxt
         return None

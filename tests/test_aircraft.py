@@ -89,7 +89,8 @@ class TestAssembly:
         fc, _ = model
         Mass, A_t, B_t = assemble_longitudinal(fc, dims)
         plant = to_state_space(Mass, A_t, B_t, fc.V0)
-        assert plant.output_names == ("theta", "q", "alpha")
+        # states (u, w, q, theta); outputs (theta, q, alpha = w / V0)
+        assert np.array_equal(plant.C[:2], [[0, 0, 0, 1], [0, 0, 1, 0]])
         assert np.allclose(plant.C[2], [0, 1.0 / fc.V0, 0, 0])
 
     def test_singular_mass_matrix_rejected(self, model, dims):
@@ -109,7 +110,7 @@ class TestInnerLoop:
         p = plant.nominal
         K = np.array([[0.0, 1.6, 1.72]])
         assert np.allclose(siso.A, p.A - p.B @ K @ p.C, atol=1e-12)
-        assert siso.noutputs == 1 and siso.output_names == ("theta",)
+        assert siso.noutputs == 1 and np.array_equal(siso.C, p.C[:1])
 
     def test_zero_gains_identity(self, model):
         fc, dl = model

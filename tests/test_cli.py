@@ -160,6 +160,13 @@ class TestPlotCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("command, option", [("verify", "--n-samples"), ("analyze", "--n-verify")])
+    def test_negative_sample_count_rejected(self, runner, tmp_path, command, option):
+        result = runner.invoke(main, [command, option, "-1", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': -1 is not in the range x>=0." in result.output
+        assert not any(tmp_path.iterdir())
+
     def test_default_passes(self, runner, tmp_path):
         result = run_ok(runner, ["verify", "--n-samples", "20",
                                  "--out", str(tmp_path)])
