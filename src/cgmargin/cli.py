@@ -47,7 +47,7 @@ def _common_options(fn):
         click.option("--npoints", type=int, default=4000, show_default=True),
         click.option("--stability-margin", type=float, default=0.0,
                      show_default=True,
-                     help="Eigenvalue real-part margin for the stability predicate."),
+                     help="Degree of stability m >= 0: every result reads M(s - m)."),
         click.option("--optimize-center/--midpoint-center", "optimize_center",
                      default=True, show_default=True,
                      help="Circle criterion center: smallest enclosing circle "
@@ -259,9 +259,7 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
         if name in reports:
             report = reports[name]
         else:
-            report = criteria.verify_interval(
-                session.model, iv, n_samples, margin=config.stability_margin
-            )
+            report = criteria.verify_interval(session.model, iv, n_samples)
         status = "PASS" if report.passed else "FAIL"
         detail = ""
         if report.crossings:

@@ -353,7 +353,7 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
         )
 
     M, omegas = summary.system, summary.omegas
-    w = np.array([wk for wk, _ in _axis_crossings(M, 0.0) if 0.0 < wk <= omegas[-1]])
+    w = np.array([wk for wk, _ in _axis_crossings(M) if 0.0 < wk <= omegas[-1]])
     w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
     w = w[w <= omegas[-1]]
     seeded = _merged(omegas, summary.values, w, freq_values(M, w))
@@ -506,25 +506,23 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# crossing sets per system M and margin: systems are immutable, and an
-# entry goes when its system does
+# crossing set per system M: systems are immutable, and an entry goes when
+# its system does
 _CROSSINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _axis_crossings(M: StateSpace, margin: float) -> tuple:
-    """Every (w, x) with x = M(jw - margin) real, w >= 0 and |x| > 1e-12.
+def _axis_crossings(M: StateSpace) -> tuple:
+    """Every (w, x) with x = M(jw) real, w >= 0 and |x| > 1e-12.
 
     These are w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
-    (diag(H, -H), [b; b], [c, c]) with H shifted to H + margin*I.  The set
-    is computed once per system and margin, and keyed on M, so that
+    (diag(H, -H), [b; b], [c, c]).  A model built at a stability margin m
+    carries M(s - m), so these are then the crossings on Re s = -m.  The
+    set is computed once per system, and keyed on M, so that
     ``exact_bounds``, ``verify_interval`` (through ``model.M``) and
     ``popov_bounds`` (through ``summary.system``) share one solve.
     """
-    memo = _CROSSINGS.setdefault(M, {})
-    if margin in memo:
-        return memo[margin]
-    if margin != 0.0:
-        M = StateSpace(M.A + margin * np.eye(M.nstates), M.B, M.C, M.D)
+    if M in _CROSSINGS:
+        return _CROSSINGS[M]
     H, b, c = M.A, M.B[:, 0], M.C[0]
     zero = np.zeros_like(H)
     w = imaginary_zeros(
@@ -532,31 +530,28 @@ def _axis_crossings(M: StateSpace, margin: float) -> tuple:
     )
     w = np.concatenate([[0.0], w[w > 0]])
     x = freq_values(M, w).real
-    memo[margin] = tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
-    return memo[margin]
+    _CROSSINGS[M] = tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
+    return _CROSSINGS[M]
 
 
-def exact_bounds(
-    model: MDeltaModel,
-    summary: LocusSummary | None = None,
-    margin: float = 0.0,
-) -> StabilityInterval:
+def exact_bounds(model: MDeltaModel, summary: LocusSummary | None = None) -> StabilityInterval:
     """Maximal open interval of delta around 0 with stable H + delta*Qcal.
 
-    An eigenvalue of H + delta*Qcal lies on the line Re s = -margin exactly
-    when delta = -1/x for a real value x of M(jw - margin) (zero exclusion;
-    Barmish, New Tools for Robustness of Linear Systems, 1994).  So each
-    bound is the nearest such -1/x on its side of 0, and a side with none is
-    unbounded.  The witnesses ``upper_crossing`` and ``lower_crossing`` are
-    the (w, x) of each bound.
+    An eigenvalue of H + delta*Qcal lies on the jw-axis exactly when delta
+    = -1/x for a real value x of M(jw) (zero exclusion; Barmish, New Tools
+    for Robustness of Linear Systems, 1994).  So each bound is the nearest
+    such -1/x on its side of 0, and a side with none is unbounded.  The
+    witnesses ``upper_crossing`` and ``lower_crossing`` are the (w, x) of
+    each bound.  On a model built at a stability margin m (``build_mdelta``)
+    H is H + m*I, so the interval keeps every eigenvalue left of Re s = -m.
 
     ``summary`` is ignored: the interval is read off the realization of M,
     not off a sampled locus.  It stays for callers that pass it
     positionally.
     """
-    if _max_real_parts(model, np.zeros(1))[0] >= -margin:
+    if _max_real_parts(model, np.zeros(1))[0] >= 0:
         raise UnstableFixedPartError("nominal closed loop is not stable")
-    crossings = _axis_crossings(model.M, margin)
+    crossings = _axis_crossings(model.M)
     upper, up_cross = min(
         ((-1.0 / x, (w, x)) for w, x in crossings if x < 0), default=(math.inf, None)
     )
@@ -574,22 +569,21 @@ def exact_bounds(
 
 
 def verify_interval(
-    model: MDeltaModel,
-    interval: StabilityInterval,
-    n_samples: int,
-    margin: float = 0.0,
+    model: MDeltaModel, interval: StabilityInterval, n_samples: int
 ) -> VerificationReport:
     """Audit an interval: every delta in it must keep H + delta*Qcal stable.
 
     Two routes.  ``crossings`` holds each delta* = -1/x, x a real value of
-    M(jw - margin), that lies inside the interval by more than
-    INSIDE_RTOL*|delta*|: an eigenvalue sits on Re s = -margin there (see
-    exact_bounds), so this verdict covers the whole interval.
-    ``failures`` holds the n_samples evenly spaced interior deltas that
-    are not stable (none if lower >= upper); for the exact interval the
-    matrix must additionally be unstable just outside each bound (at bound
-    +- 1e-3*|bound|).  The report passes only if both are empty.
-    n_samples = 0 warns that the sampled audit is vacuous.
+    M(jw), that lies inside the interval by more than INSIDE_RTOL*|delta*|:
+    an eigenvalue sits on the jw-axis there (see exact_bounds), so this
+    verdict covers the whole interval.  ``failures`` holds the n_samples
+    evenly spaced interior deltas that are not stable (none if lower >=
+    upper); for the exact interval the matrix must additionally be unstable
+    just outside each bound (at bound +- 1e-3*|bound|, or at -1e-3 for a
+    lower and +1e-3 for an upper bound of 0).  The report passes only if
+    both are empty.  On a model built at a stability margin m, stable
+    means every eigenvalue left of Re s = -m.  n_samples = 0 warns that the
+    sampled audit is vacuous.
     """
     if interval.lower_unbounded or interval.upper_unbounded:
         raise ValueError("verify_interval requires a finite interval")
@@ -597,7 +591,7 @@ def verify_interval(
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     crossings = tuple(
         (-1.0 / x, w)
-        for w, x in _axis_crossings(model.M, margin)
+        for w, x in _axis_crossings(model.M)
         if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
     )
     notes = ""
@@ -613,13 +607,13 @@ def verify_interval(
     failures = [
         (float(d), float(mr))
         for d, mr in zip(deltas, _max_real_parts(model, deltas))
-        if mr >= -margin
+        if mr >= 0
     ]
     if interval.criterion == "exact":
-        bounds = (interval.lower, interval.upper)
-        outside = np.array([b * (1 + 1e-3) if b != 0 else 1e-3 for b in bounds])
+        bounds = np.array([interval.lower, interval.upper])
+        outside = np.where(bounds != 0, bounds * (1 + 1e-3), [-1e-3, 1e-3])
         for d, mr in zip(outside, _max_real_parts(model, outside)):
-            if mr < -margin:
+            if mr < 0:
                 failures.append((float(d), float(mr)))
                 notes = "expected instability just outside the exact bound"
     return VerificationReport(

@@ -35,6 +35,7 @@ class MDeltaModel:
     v: np.ndarray
     w: np.ndarray
     M: StateSpace
+    margin: float = 0.0   # m of a model built on H + m*I (build_mdelta)
 
 
 def closed_loop_uncertain(plant: UncertainPlant, controller: StateSpace):
@@ -101,21 +102,24 @@ def m_transfer(H: np.ndarray, sigma: float, v: np.ndarray, w: np.ndarray) -> Sta
                       -np.asarray(w).reshape(1, -1), np.zeros((1, 1)))
 
 
-def build_mdelta(plant: UncertainPlant, controller: StateSpace) -> MDeltaModel:
-    """Full M-Delta model of the uncertain closed loop.
+def build_mdelta(plant: UncertainPlant, controller: StateSpace, margin: float = 0.0) -> MDeltaModel:
+    """Full M-Delta model of the uncertain closed loop at stability margin m.
 
-    Raises UnstableFixedPartError if the nominal closed loop is not
-    asymptotically stable.
+    For m != 0 it is built on H + m*I, so M is M(s - m) and every result read
+    off it keeps the eigenvalues of H + delta*Qcal left of Re s = -m.  Raises
+    UnstableFixedPartError if the slowest nominal mode does not clear m.
     """
     H, Qcal = closed_loop_uncertain(plant, controller)
+    if margin != 0.0:
+        H = H + margin * np.eye(H.shape[0])
     if not is_hurwitz(H):
         raise UnstableFixedPartError(
-            "nominal closed loop is unstable; robust stability analysis "
-            "requires a stable fixed part"
+            f"nominal closed loop is unstable at stability margin {margin:g}: its slowest "
+            f"mode, at Re s = {np.linalg.eigvals(H).real.max() - margin:.5g}, does not clear it"
         )
     sigma, v, w = rank_one_factor(Qcal)
     return MDeltaModel(
-        H=H, Qcal=Qcal, sigma=sigma, v=v, w=w, M=m_transfer(H, sigma, v, w)
+        H=H, Qcal=Qcal, sigma=sigma, v=v, w=w, M=m_transfer(H, sigma, v, w), margin=margin
     )
 
 

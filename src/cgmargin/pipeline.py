@@ -28,7 +28,8 @@ DEFAULT_KALPHA = 1.72
 
 @dataclass
 class AnalysisConfig:
-    """All knobs of an analysis run; defaults reproduce the bundled model."""
+    """All knobs of an analysis run; defaults reproduce the bundled model.
+    A stability margin m >= 0 builds the model on H + m*I (mdelta.build_mdelta)."""
 
     model_path: Path | None = None
     controller_zeros: tuple = DEFAULT_CONTROLLER_ZEROS
@@ -52,6 +53,8 @@ class AnalysisConfig:
         unknown = set(self.criteria) - set(CRITERIA)
         if unknown:
             raise ValueError(f"unknown criteria: {sorted(unknown)}")
+        if not 0 <= self.stability_margin < np.inf:   # nan fails both
+            raise ValueError(f"need a finite stability margin >= 0, got {self.stability_margin!r}")
 
 
 @dataclass
@@ -93,7 +96,7 @@ def build_session(config: AnalysisConfig) -> AnalysisSession:
         config.controller_zeros, config.controller_poles, config.controller_gain
     )
     controller = ss_realize(controller_tf)
-    model = mdelta.build_mdelta(augmented, controller)
+    model = mdelta.build_mdelta(augmented, controller, config.stability_margin)
     summary = criteria.sample_locus(
         model.M, wmin=config.wmin, wmax=config.wmax, n=config.npoints
     )
@@ -113,7 +116,7 @@ def compute_interval(
     session: AnalysisSession, criterion: str, config: AnalysisConfig
 ) -> StabilityInterval:
     if criterion == "exact":
-        return criteria.exact_bounds(session.model, margin=config.stability_margin)
+        return criteria.exact_bounds(session.model)
     if criterion == "small_gain":
         return criteria.small_gain_bounds(session.summary)
     if criterion == "circle":
@@ -135,10 +138,7 @@ def run_analysis(config: AnalysisConfig, session: AnalysisSession | None = None)
         result.intervals[criterion] = interval
         if not (interval.lower_unbounded or interval.upper_unbounded):
             result.reports[criterion] = criteria.verify_interval(
-                session.model,
-                interval,
-                config.n_verify,
-                margin=config.stability_margin,
+                session.model, interval, config.n_verify
             )
     return result
 
@@ -257,6 +257,7 @@ def format_zpk(tf: TransferFunction) -> str:
 
 def format_model_dump(session: AnalysisSession) -> str:
     """Structured text dump of every matrix built along the pipeline."""
+    margin = session.model.margin
     parts = [
         "# cgmargin model dump",
         format_matrix("A_open", session.open_plant.nominal.A),
@@ -266,7 +267,7 @@ def format_model_dump(session: AnalysisSession) -> str:
         format_matrix("A_augmented", session.augmented.nominal.A),
         format_matrix("Q_A", session.augmented.Q_A),
         format_matrix("Q_B", session.augmented.Q_B),
-        format_matrix("H", session.model.H),
+        format_matrix(f"H + {margin!r}*I (stability margin)" if margin else "H", session.model.H),
         format_matrix("Qcal", session.model.Qcal),
         f"sigma = {session.model.sigma!r}",
         format_matrix("v", session.model.v.reshape(1, -1)),

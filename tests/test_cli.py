@@ -177,9 +177,9 @@ class TestVerifyCommand:
         calls = []
         audit = criteria.verify_interval
 
-        def counted(model, interval, n_samples, margin=0.0):
+        def counted(model, interval, n_samples):
             calls.append((interval.criterion, n_samples))
-            return audit(model, interval, n_samples, margin)
+            return audit(model, interval, n_samples)
 
         monkeypatch.setattr(criteria, "verify_interval", counted)
         result = run_ok(runner, ["verify", "--n-samples", "20", "--out", str(tmp_path)])
@@ -217,6 +217,20 @@ class TestVerifyCommand:
         assert "boundary crossing inside at delta=-16.3939 (w=0.0209409)" in result.output
         assert "first failure" not in result.output
 
+    def test_zero_lower_bound_probed_below(self, runner, tmp_path):
+        # just outside a lower bound of 0 lies below it, where the loop is
+        # stable: the exact lower bound is -16.39
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(
+            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
+            "exact,0,0.5123037430,0,0,\n"
+        )
+        result = runner.invoke(
+            main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert "first failure at delta=-0.001 (" in result.output
+
     def test_skips_unbounded_rows(self, runner, tmp_path):
         csv_path = tmp_path / "report.csv"
         csv_path.write_text(
@@ -227,3 +241,42 @@ class TestVerifyCommand:
             runner, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
         assert "SKIP" in result.output
+
+
+class TestStabilityMargin:
+    def test_readme_example_and_its_audit_pass(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = run_ok(runner, ["analyze", "--criteria", "exact,popov",
+                                 "--stability-margin", "0.01", "--out", str(out)])
+        assert result.output.count(": ok (50 interior samples)") == 2
+        result = run_ok(runner, ["verify", "--results", str(out / "report.csv"),
+                                 "--stability-margin", "0.01", "--out", str(tmp_path)])
+        assert result.output.splitlines() == [
+            f"{name:<14} PASS (100 samples)" for name in ("exact", "popov")
+        ]
+
+    def test_margin_past_slowest_mode_is_one_error_line(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["analyze", "--stability-margin", "0.02", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        # the nominal loop's slowest modes are a pair at Re s = -0.016926
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: ") and "-0.016926" in line
+
+    @pytest.mark.parametrize("margin", ["-0.05", "nan", "inf"])
+    def test_negative_or_nonfinite_margin_rejected(self, runner, tmp_path, margin):
+        result = runner.invoke(
+            main, ["analyze", f"--stability-margin={margin}", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: need a finite stability margin >= 0, got {float(margin)!r}\n"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_model_dump_names_margin(self, runner, tmp_path):
+        result = run_ok(runner, ["model", "--stability-margin", "0.01", "--out", str(tmp_path)])
+        assert "\nH + 0.01*I (stability margin) =\n" in result.output
+        assert "\nH =\n" not in result.output

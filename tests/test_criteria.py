@@ -36,6 +36,7 @@ from conftest import (
     dense_response,
     golden_min,
     random_rank_one_model,
+    max_real_part,
     rank_one_model,
     scan_exact_bounds,
 )
@@ -59,35 +60,37 @@ def real_value_frequencies(M):
 
 
 def _hard_case(name):
-    """A model of one hard case, with the stability margin to analyse it at."""
+    """The M-Delta model of one hard case.  The aircraft case is built at a
+    stability margin, so its H is H + AIRCRAFT_MARGIN*I."""
     if name == "relative_degree_3":
-        return rank_one_model(REL3.A, -REL3.B @ REL3.C), 0.0
+        return rank_one_model(REL3.A, -REL3.B @ REL3.C)
     rng = np.random.default_rng(11)
     if name == "cb_zero":
         H = rng.normal(size=(8, 8))
         H -= (np.linalg.eigvals(H).real.max() + 0.5) * np.eye(8)
         b, c = rng.normal(size=8), rng.normal(size=8)
         c -= (c @ b) / (b @ b) * b
-        return rank_one_model(H, -np.outer(b, c)), 0.0
+        return rank_one_model(H, -np.outer(b, c))
     if name == "light_damping":
         H = np.zeros((4, 4))
         H[:2, :2] = [[-1e-3, 1.0], [-1.0, -1e-3]]
         H[2:, 2:] = [[-0.5, 2.0], [-2.0, -0.5]]
-        return rank_one_model(H, -np.outer([1.0, 0.3, -0.7, 0.4], [0.5, 1.0, 0.8, -0.2])), 0.0
+        return rank_one_model(H, -np.outer([1.0, 0.3, -0.7, 0.4], [0.5, 1.0, 0.8, -0.2]))
     if name == "jordan_block":
         H = -np.eye(4) + np.diag(np.ones(3), 1)
-        return rank_one_model(H, -np.outer([0.2, -0.5, 1.0, 0.7], [1.0, 0.4, -0.3, 0.9])), 0.0
+        return rank_one_model(H, -np.outer([0.2, -0.5, 1.0, 0.7], [1.0, 0.4, -0.3, 0.9]))
     if name == "random_n128":
-        return random_rank_one_model(np.random.default_rng(0), n=128), 0.0
+        return random_rank_one_model(np.random.default_rng(0), n=128)
     if name == "flat_at_origin":
         # M = (3s + 1)/(s + 1)^3 has M'(0) = 0, so M(s) - M(-s) has a triple
         # zero at s = 0 that the eigenvalue solve leaves off the axis; the
         # lower bound -1/M(0) must still be found
         M = ss_realize(tf_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0))
-        return rank_one_model(M.A, -M.B @ M.C), 0.0
-    return None, 0.005   # the aircraft, at a stability margin
+        return rank_one_model(M.A, -M.B @ M.C)
+    return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
 
 
+AIRCRAFT_MARGIN = 0.005
 HARD_CASES = ("relative_degree_3", "cb_zero", "light_damping", "jordan_block",
               "random_n128", "flat_at_origin", "aircraft_margin")
 
@@ -331,7 +334,7 @@ class TestCertificate:
         s = session.summary
         w = real_value_frequencies(s.system)
         w = w[(w > 0) & (w <= s.omegas[-1])]
-        criteria._axis_crossings(s.system, 0.0)   # memoized before counting
+        criteria._axis_crossings(s.system)   # memoized before counting
         calls = []
 
         def recorded(M, omegas):
@@ -413,9 +416,8 @@ class TestCertificate:
 
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     @pytest.mark.parametrize("case", HARD_CASES)
-    def test_hard_case_enclosed(self, case, session):
-        model, _ = _hard_case(case)
-        M = (model or session.model).M
+    def test_hard_case_enclosed(self, case):
+        M = _hard_case(case).M
         s = sample_locus(M)
         # the modal oracle is off by up to 1e30 on the defective H of these two
         oracle = "per_point" if case in ("jordan_block", "flat_at_origin") else "modal"
@@ -605,7 +607,7 @@ class TestExact:
 
     def test_margin_shrinks_interval(self, session):
         plain = exact_bounds(session.model, session.summary)
-        tight = exact_bounds(session.model, session.summary, margin=0.005)
+        tight = exact_bounds(build_session(AnalysisConfig(stability_margin=0.005)).model)
         assert tight.lower > plain.lower
         assert tight.upper < plain.upper
 
@@ -625,12 +627,14 @@ class TestExact:
 
     @pytest.mark.parametrize("case", HARD_CASES)
     def test_hard_case_matches_scan(self, case, session):
-        model, margin = _hard_case(case)
-        model = model or session.model
-        iv = exact_bounds(model, margin=margin)
-        # the scan marches in steps of 0.05 at n = 128 to keep its cost down
+        model = _hard_case(case)
+        iv = exact_bounds(model)
+        # the scan audits the loop as built at margin 0 against Re s < -margin;
+        # it marches in steps of 0.05 at n = 128 to keep its cost down
+        margin = model.margin
+        unshifted = session.model if margin else model
         step = 0.05 if model.H.shape[0] > 32 else 0.01
-        scan = scan_exact_bounds(model, lo=-100.0, hi=100.0, step=step, margin=margin)
+        scan = scan_exact_bounds(unshifted, lo=-100.0, hi=100.0, step=step, margin=margin)
         for side in ("lower", "upper"):
             assert getattr(iv, f"{side}_unbounded") == getattr(scan, f"{side}_unbounded")
             if not getattr(iv, f"{side}_unbounded"):
@@ -638,19 +642,20 @@ class TestExact:
 
     @pytest.mark.parametrize("case", HARD_CASES)
     def test_hard_case_is_sharp(self, case, session):
-        model, margin = _hard_case(case)
-        model = model or session.model
-        iv = exact_bounds(model, margin=margin)
+        model = _hard_case(case)
+        iv = exact_bounds(model)
+        margin = model.margin
+        unshifted = session.model if margin else model
         bounds = [b for b in (iv.lower, iv.upper) if math.isfinite(b)]
         assert bounds
         for bound in bounds:
-            inside = np.linalg.eigvals(closed_loop_matrix(model, bound * (1 - 1e-4)))
-            outside = np.linalg.eigvals(closed_loop_matrix(model, bound * (1 + 1e-4)))
+            inside = np.linalg.eigvals(closed_loop_matrix(unshifted, bound * (1 - 1e-4)))
+            outside = np.linalg.eigvals(closed_loop_matrix(unshifted, bound * (1 + 1e-4)))
             assert inside.real.max() < -margin < outside.real.max()
 
     def test_relative_degree_3_interval(self):
         # s^3 + 2s^2 + s + 1 + delta is Hurwitz exactly for -1 < delta < 1
-        iv = exact_bounds(_hard_case("relative_degree_3")[0])
+        iv = exact_bounds(_hard_case("relative_degree_3"))
         assert (iv.lower, iv.upper) == pytest.approx((-1.0, 1.0), rel=1e-12)
         assert iv.witnesses["upper_crossing"] == pytest.approx((1.0, -1.0), rel=1e-12)
 
@@ -667,12 +672,10 @@ class TestExact:
 
 class TestHardCaseResponse:
     @pytest.mark.parametrize("case", HARD_CASES)
-    def test_matches_per_point_solve(self, case, session):
+    def test_matches_per_point_solve(self, case):
         # random_n128 on the default window also covers the rescaling of the
         # recurrence, which overflows near w = 1e4 without it
-        model, margin = _hard_case(case)
-        M = (model or session.model).M
-        M = StateSpace(M.A + margin * np.eye(M.nstates), M.B, M.C, M.D)
+        M = _hard_case(case).M
         grid = np.logspace(-4, 4, 1001)
         values = freq_values(M, grid)
         per_point = np.array([M.evaluate(1j * w)[0, 0] for w in grid])
@@ -869,3 +872,38 @@ def test_audit_makes_no_thread_at_n8(monkeypatch):
     # SPLIT_MIN_N keeps this serial
     report = verify_interval(result.session.model, result.intervals["exact"], 200)
     assert report.passed and report.n_checked == 200
+
+
+# the exact interval at each stability margin m, as zero exclusion on the line
+# Re s = -m of the loop built at margin 0 gives it (M(jw - m) real)
+EXACT_AT_MARGIN = {
+    0.005: (-11.948123919292684, 0.5065734380496086),
+    0.01: (-9.367752985794741, 0.5008704900991972),
+    0.016: (-7.416359177868879, 0.402417154958539),
+}
+
+
+class TestStabilityMargin:
+    @pytest.mark.parametrize("margin", sorted(EXACT_AT_MARGIN))
+    def test_every_interval_inside_exact_and_sound(self, margin, session):
+        result = run_analysis(AnalysisConfig(stability_margin=margin))
+        assert result.all_sound
+        exact = result.intervals["exact"]
+        assert (exact.lower, exact.upper) == pytest.approx(EXACT_AT_MARGIN[margin], rel=1e-9)
+        assert set(result.intervals) == set(criteria.CRITERIA)
+        for iv in result.intervals.values():
+            assert exact.lower <= iv.lower < 0 < iv.upper <= exact.upper
+            # audited on the loop built at margin 0, one matrix at a time
+            for delta in np.linspace(iv.lower, iv.upper, 202)[1:-1]:
+                assert max_real_part(session.model, delta) < -margin
+
+    def test_aircraft_table(self):
+        intervals = run_analysis(AnalysisConfig(stability_margin=0.01)).intervals
+        table = {name: (iv.lower, iv.upper) for name, iv in intervals.items()}
+        assert table == {
+            "exact": pytest.approx((-9.36775, 0.50087), rel=1e-5),
+            "small_gain": pytest.approx((-0.498174, 0.498174), rel=1e-5),
+            "circle": pytest.approx((-2.07947, 0.46989), rel=1e-5),
+            "positive_real": pytest.approx((-5.44837, 0.499802), rel=1e-5),
+            "popov": pytest.approx((-8.70534, 0.50087), rel=1e-5),
+        }
