@@ -18,7 +18,6 @@ from .aircraft import (
 )
 from .criteria import (
     CRITERIA,
-    LocusSummary,
     StabilityInterval,
     VerificationReport,
     circle_bounds,
@@ -54,7 +53,6 @@ __all__ = [
     "DimensionlessDerivatives",
     "FlightCondition",
     "FrequencyLocus",
-    "LocusSummary",
     "MDeltaModel",
     "StabilityInterval",
     "StateSpace",

@@ -11,7 +11,14 @@ from . import aircraft, criteria, pipeline
 from .criteria import CRITERIA
 from .errors import CgMarginError
 
-FIGURES = ("nyquist_smallgain", "nyquist_circle", "nyquist_posreal", "popov")
+# figure -> the criterion whose interval it draws
+FIGURE_CRITERIA = {
+    "nyquist_smallgain": "small_gain",
+    "nyquist_circle": "circle",
+    "nyquist_posreal": "positive_real",
+    "popov": "popov",
+}
+FIGURES = tuple(FIGURE_CRITERIA)
 
 
 def _parse_complex_list(_ctx, _param, value):
@@ -48,10 +55,6 @@ def _common_options(fn):
         click.option("--stability-margin", type=float, default=0.0,
                      show_default=True,
                      help="Degree of stability m >= 0: every result reads M(s - m)."),
-        click.option("--optimize-center/--midpoint-center", "optimize_center",
-                     default=True, show_default=True,
-                     help="Circle criterion center: smallest enclosing circle "
-                          "vs midpoint of the extreme real parts."),
         click.option("--out", "out_dir",
                      type=click.Path(file_okay=False, path_type=Path),
                      default=Path("cgmargin_out"), show_default=True),
@@ -62,17 +65,15 @@ def _common_options(fn):
 
 
 def _make_config(criteria_names=CRITERIA, **kw) -> pipeline.AnalysisConfig:
-    zeros = kw["controller_zeros"] or pipeline.DEFAULT_CONTROLLER_ZEROS
-    poles = kw["controller_poles"] or pipeline.DEFAULT_CONTROLLER_POLES
-    gain = kw["controller_gain"]
-    if gain is None:
-        gain = pipeline.DEFAULT_CONTROLLER_GAIN
+    def given(name, default):   # an empty list is given: no zeros, or no poles
+        return default if kw[name] is None else kw[name]
+
     try:
         return pipeline.AnalysisConfig(
             model_path=kw["model_path"],
-            controller_zeros=zeros,
-            controller_poles=poles,
-            controller_gain=gain,
+            controller_zeros=given("controller_zeros", pipeline.DEFAULT_CONTROLLER_ZEROS),
+            controller_poles=given("controller_poles", pipeline.DEFAULT_CONTROLLER_POLES),
+            controller_gain=given("controller_gain", pipeline.DEFAULT_CONTROLLER_GAIN),
             kq=kw["kq"],
             kalpha=kw["kalpha"],
             wmin=kw["wmin"],
@@ -80,7 +81,6 @@ def _make_config(criteria_names=CRITERIA, **kw) -> pipeline.AnalysisConfig:
             npoints=kw["npoints"],
             criteria=tuple(criteria_names),
             stability_margin=kw["stability_margin"],
-            circle_center="optimal" if kw["optimize_center"] else "midpoint",
         )
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -143,7 +143,9 @@ def cmd_analyze(criteria_list: str, n_verify: int, out_dir: Path, **kw):
     click.echo(table)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(table)
-    (out_dir / "report.csv").write_text(pipeline.format_report_csv(result.intervals))
+    (out_dir / "report.csv").write_text(
+        pipeline.format_report_csv(result.intervals, config.stability_margin)
+    )
     click.echo(f"wrote {out_dir / 'report.txt'} and {out_dir / 'report.csv'}")
     for name, report in result.reports.items():
         status = "ok" if report.passed else "FAILED"
@@ -163,7 +165,7 @@ def cmd_plot(figure: str, fmt: str, out_dir: Path, **kw):
 
     config = _make_config(**kw)
     session = _build_session(config)
-    rows, title, xlabel, ylabel, equal = _figure_rows(session, config, figure)
+    rows, title, xlabel, ylabel, equal = _figure_rows(session, figure)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt in ("csv", "both"):
         path = out_dir / f"locus_{figure}.csv"
@@ -177,55 +179,30 @@ def cmd_plot(figure: str, fmt: str, out_dir: Path, **kw):
         click.echo(f"wrote {path}")
 
 
-def _figure_rows(session, config, figure: str):
-    s = session.summary
-    if figure == "popov":
-        samples = [
-            ("sample", w, v.real, oy)
-            for w, v, oy in zip(s.omegas, s.values, s.popov_ordinate)
-        ]
+def _figure_rows(session, figure: str):
+    """Samples of the locus, then the geometry of the criterion's interval and
+    its real-axis intercepts as markers."""
+    criterion = FIGURE_CRITERIA[figure]
+    w = pipeline.compute_interval(session, criterion).witnesses
+    if criterion == "small_gain":
+        geometry, intercepts = [("circle", 0.0, w["r_sg"], 0.0)], (w["r_sg"], -w["r_sg"])
+    elif criterion == "circle":
+        xc, rc = w["x_c"], w["r_c"]
+        geometry, intercepts = [("circle", xc, rc, 0.0)], (xc + rc, xc - rc)
+    elif criterion == "positive_real":
+        intercepts = (w["x_max"], w["x_min"])
+        geometry = [("vline", x, 0.0, 0.0) for x in intercepts]
     else:
-        samples = [
-            ("sample", w, v.real, v.imag) for w, v in zip(s.omegas, s.values)
-        ]
-    if figure == "nyquist_smallgain":
-        iv = criteria.small_gain_bounds(s)
-        r = iv.witnesses["r_sg"]
-        rows = samples + [
-            ("circle", 0.0, r, 0.0),
-            ("marker", r, 0.0, 0.0),
-            ("marker", -r, 0.0, 0.0),
-        ]
-        return rows, "Small gain criterion", "Re M(jω)", "Im M(jω)", True
-    if figure == "nyquist_circle":
-        iv = criteria.circle_bounds(s, center=config.circle_center)
-        xc, rc = iv.witnesses["x_c"], iv.witnesses["r_c"]
-        rows = samples + [
-            ("circle", xc, rc, 0.0),
-            ("marker", xc + rc, 0.0, 0.0),
-            ("marker", xc - rc, 0.0, 0.0),
-        ]
-        return rows, "Circle criterion", "Re M(jω)", "Im M(jω)", True
-    if figure == "nyquist_posreal":
-        iv = criteria.positive_real_bounds(s)
-        xmax, xmin = iv.witnesses["x_max"], iv.witnesses["x_min"]
-        rows = samples + [
-            ("vline", xmax, 0.0, 0.0),
-            ("vline", xmin, 0.0, 0.0),
-            ("marker", xmax, 0.0, 0.0),
-            ("marker", xmin, 0.0, 0.0),
-        ]
-        return rows, "Positive real criterion", "Re M(jω)", "Im M(jω)", True
-    # popov
-    iv = criteria.popov_bounds(s)
-    w = iv.witnesses
-    rows = samples + [
-        ("line", w["q_plus"], w["c_plus"], 0.0),
-        ("line", w["q_minus"], w["c_minus"], 0.0),
-        ("marker", w["c_plus"], 0.0, 0.0),
-        ("marker", w["c_minus"], 0.0, 0.0),
-    ]
-    return rows, "Popov criterion", "Re M(jω)", "ω Im M(jω)", False
+        intercepts = (w["c_plus"], w["c_minus"])
+        geometry = [("line", w["q_plus"], w["c_plus"], 0.0),
+                    ("line", w["q_minus"], w["c_minus"], 0.0)]
+    s = session.summary
+    popov = criterion == "popov"
+    y = s.omegas * s.values.imag if popov else s.values.imag
+    rows = [("sample", om, v.real, yk) for om, v, yk in zip(s.omegas, s.values, y)]
+    rows += geometry + [("marker", x, 0.0, 0.0) for x in intercepts]
+    title = f"{pipeline.CRITERION_LABELS[criterion]} criterion"
+    return rows, title, "Re M(jω)", "ω Im M(jω)" if popov else "Im M(jω)", not popov
 
 
 @main.command("verify")
@@ -240,9 +217,16 @@ def _figure_rows(session, config, figure: str):
 def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
     """Interior-stability audit of every criterion interval."""
     config = _make_config(**kw)
+    if results is not None:
+        text = results.read_text()
+        margin = pipeline.parse_report_margin(text)
+        if margin != config.stability_margin:
+            recorded = "none" if margin is None else repr(margin)
+            raise click.ClickException(f"{results} records stability margin {recorded}, "
+                                       f"but --stability-margin is {config.stability_margin!r}")
     session = _build_session(config)
     if results is not None:
-        intervals = pipeline.parse_report_csv(results.read_text())
+        intervals = pipeline.parse_report_csv(text)
         reports = {}
     else:
         config.n_verify = n_samples

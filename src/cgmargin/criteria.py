@@ -29,12 +29,13 @@ import os
 import threading
 import warnings
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, UnstableFixedPartError
-from .lti import STACK_BYTES, StateSpace, freq_response, freq_values, imaginary_zeros, is_hurwitz
+from .lti import (STACK_BYTES, FrequencyLocus, StateSpace, freq_response, freq_values,
+                  imaginary_zeros, is_hurwitz)
 from .mdelta import MDeltaModel, closed_loop_matrix
 
 CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
@@ -73,16 +74,6 @@ SPLIT_MIN_N = 24
 GIL_FREE_SIZE = 500
 
 
-@dataclass(frozen=True, eq=False)
-class LocusSummary:
-    """Samples of M(jw) with the quantities the criteria consume."""
-
-    omegas: np.ndarray          # sorted, starts at 0
-    values: np.ndarray          # complex samples of M(jw)
-    popov_ordinate: np.ndarray  # w * Im[M(jw)] per sample
-    system: StateSpace = field(repr=False)   # M, for the certificates
-
-
 @dataclass(frozen=True)
 class StabilityInterval:
     """Admissible range of the c.g. shift delta under one criterion."""
@@ -110,8 +101,10 @@ def sample_locus(
     wmin: float = 1e-4,
     wmax: float = 1e4,
     n: int = 4000,
-) -> LocusSummary:
-    """Sample M(jw) at w = 0 and on n log-spaced points of [wmin, wmax]."""
+) -> FrequencyLocus:
+    """Sample M(jw) at w = 0 and on n log-spaced points of [wmin, wmax].
+
+    The locus carries M as ``system``, for the certificates."""
     if wmin <= 0 or wmax <= wmin or n < 2:
         raise DimensionError("need 0 < wmin < wmax and n >= 2")
     if M.ninputs != 1 or M.noutputs != 1 or np.any(M.D != 0):
@@ -123,14 +116,8 @@ def sample_locus(
         )
     grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), n)])
     locus = freq_response(M, grid)
-    values = locus.values
-    values[0] = values[0].real   # real by construction for real matrices
-    return LocusSummary(
-        omegas=locus.omegas,
-        values=values,
-        popov_ordinate=locus.omegas * values.imag,
-        system=M,
-    )
+    locus.values[0] = locus.values[0].real   # real by construction for real matrices
+    return locus
 
 
 def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -261,7 +248,7 @@ def _popov_level(M: StateSpace, q: float, side: int):
     )
 
 
-def small_gain_bounds(summary: LocusSummary) -> StabilityInterval:
+def small_gain_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Smallest origin-centered circle enclosing the locus of M(jw).
 
     The radius r_sg is the peak magnitude of M; the interval is the
@@ -277,38 +264,33 @@ def small_gain_bounds(summary: LocusSummary) -> StabilityInterval:
     )
 
 
-def circle_bounds(summary: LocusSummary, center: str = "optimal") -> StabilityInterval:
+def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> StabilityInterval:
     """Smallest locus-enclosing circle centered on the real axis.
 
-    ``center="optimal"`` picks the real-axis center that minimizes the
-    radius over the samples, exactly (``_minimax_line`` on the squared
-    radius; this reproduces the reference results); ``center="midpoint"``
-    uses the midpoint of the extreme sampled real parts instead.  The
-    radius at that center is certified on the continuous locus.
+    The center minimizes the radius over the samples, exactly
+    (``_minimax_line`` on the squared radius; this reproduces the reference
+    results), and the radius there is certified on the continuous locus.
+    ``center`` must be "optimal"; it stays for callers that pass it.
     """
-    X = summary.values.real
-    if center == "optimal":
-        # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x): its minimizer lies between
-        # the extreme real parts
-        x_c = _minimax_line(
-            np.abs(summary.values) ** 2, 2.0 * X, float(X.min()), float(X.max()), quad=True
-        )
-    elif center == "midpoint":
-        x_c = 0.5 * float(X.max() + X.min())
-    else:
+    if center != "optimal":
         raise ValueError(f"unknown center mode {center!r}")
-
+    # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x): its minimizer lies between the
+    # extreme real parts
+    X = summary.values.real
+    x_c = _minimax_line(
+        np.abs(summary.values) ** 2, 2.0 * X, float(X.min()), float(X.max()), quad=True
+    )
     M = summary.system
     r_c = _certified_max(M, *_modulus_level(M, x_c), summary.omegas, summary.values)[0]
     return _interval_from_intercepts(
         pos=x_c + r_c,
         neg=x_c - r_c,
         criterion="circle",
-        witnesses={"x_c": x_c, "r_c": r_c, "center_mode": center},
+        witnesses={"x_c": x_c, "r_c": r_c},
     )
 
 
-def positive_real_bounds(summary: LocusSummary) -> StabilityInterval:
+def positive_real_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Vertical lines at the extreme real parts of the locus."""
     M, omegas, values = summary.system, summary.omegas, summary.values
     x_max = _certified_max(M, *_popov_level(M, 0.0, +1), omegas, values)[0]
@@ -321,7 +303,7 @@ def positive_real_bounds(summary: LocusSummary) -> StabilityInterval:
     )
 
 
-def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityInterval:
+def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Popov lines on the plot of w*Im[M(jw)] vs Re[M(jw)].
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
@@ -332,26 +314,9 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
     solved by ``_optimize_popov_line``: the reported intercept is certified
     at the reported slope, so every line (q, c) encloses the continuous
     locus on [0, wmax], and ``gap_plus``/``gap_minus`` bound how far c lies
-    from the optimum over every slope.  ``slope_search=False`` forces
-    vertical lines, reproducing the positive real criterion.
+    from the optimum over every slope.  q = 0, the positive real criterion's
+    vertical lines, is among the slopes.
     """
-    if not slope_search:
-        pr = positive_real_bounds(summary)
-        return StabilityInterval(
-            lower=pr.lower,
-            upper=pr.upper,
-            criterion="popov",
-            witnesses={
-                "q_plus": None,
-                "c_plus": pr.witnesses["x_max"],
-                "q_minus": None,
-                "c_minus": pr.witnesses["x_min"],
-                "vertical": True,
-            },
-            lower_unbounded=pr.lower_unbounded,
-            upper_unbounded=pr.upper_unbounded,
-        )
-
     M, omegas = summary.system, summary.omegas
     w = np.array([wk for wk, _ in _axis_crossings(M) if 0.0 < wk <= omegas[-1]])
     w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
@@ -370,7 +335,6 @@ def popov_bounds(summary: LocusSummary, slope_search: bool = True) -> StabilityI
             "q_minus": q_minus,
             "c_minus": c_minus,
             "gap_minus": gap_minus,
-            "vertical": False,
         },
     )
 
@@ -534,7 +498,7 @@ def _axis_crossings(M: StateSpace) -> tuple:
     return _CROSSINGS[M]
 
 
-def exact_bounds(model: MDeltaModel, summary: LocusSummary | None = None) -> StabilityInterval:
+def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> StabilityInterval:
     """Maximal open interval of delta around 0 with stable H + delta*Qcal.
 
     An eigenvalue of H + delta*Qcal lies on the jw-axis exactly when delta

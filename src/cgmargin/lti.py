@@ -186,10 +186,12 @@ class StateSpace:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyLocus:
-    """Samples (omega, value) of a SISO frequency response, omega >= 0."""
+    """Samples (omega, value) of a SISO frequency response, omega >= 0, and
+    the system they sample."""
 
     omegas: np.ndarray
     values: np.ndarray
+    system: StateSpace = field(repr=False)
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
@@ -374,7 +376,7 @@ def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
     om = np.asarray(grid, dtype=float)
     if om.ndim != 1 or om.size == 0:
         raise DimensionError("grid must be a nonempty 1-D array")
-    return FrequencyLocus(om, freq_values(sys, om))
+    return FrequencyLocus(om, freq_values(sys, om), sys)
 
 
 def tf_of_ss(sys: StateSpace) -> TransferFunction:

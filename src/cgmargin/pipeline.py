@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import aircraft, criteria, mdelta
-from .criteria import CRITERIA, LocusSummary, StabilityInterval, VerificationReport
-from .lti import StateSpace, TransferFunction, ss_realize, tf_from_zpk, tf_of_ss
+from .criteria import CRITERIA, StabilityInterval, VerificationReport
+from .lti import FrequencyLocus, StateSpace, TransferFunction, ss_realize, tf_from_zpk, tf_of_ss
 
 # robust H-infinity loopshaping controller for the elevator-to-attitude
 # channel; complex pole pair from s^2 + 7.22 s + 13.6
@@ -42,7 +42,6 @@ class AnalysisConfig:
     npoints: int = 4000
     criteria: tuple = CRITERIA
     stability_margin: float = 0.0
-    circle_center: str = "optimal"
     n_verify: int = 50
 
     def __post_init__(self):
@@ -68,7 +67,7 @@ class AnalysisSession:
     controller: StateSpace
     controller_tf: TransferFunction
     model: mdelta.MDeltaModel
-    summary: LocusSummary
+    summary: FrequencyLocus   # samples of M(jw), carrying M as system
 
     @property
     def nominal_tf(self) -> TransferFunction:
@@ -112,15 +111,13 @@ def build_session(config: AnalysisConfig) -> AnalysisSession:
     )
 
 
-def compute_interval(
-    session: AnalysisSession, criterion: str, config: AnalysisConfig
-) -> StabilityInterval:
+def compute_interval(session: AnalysisSession, criterion: str) -> StabilityInterval:
     if criterion == "exact":
         return criteria.exact_bounds(session.model)
     if criterion == "small_gain":
         return criteria.small_gain_bounds(session.summary)
     if criterion == "circle":
-        return criteria.circle_bounds(session.summary, center=config.circle_center)
+        return criteria.circle_bounds(session.summary)
     if criterion == "positive_real":
         return criteria.positive_real_bounds(session.summary)
     if criterion == "popov":
@@ -134,7 +131,7 @@ def run_analysis(config: AnalysisConfig, session: AnalysisSession | None = None)
     result = AnalysisResult(session=session)
     ordered = [c for c in CRITERIA if c in config.criteria]
     for criterion in ordered:
-        interval = compute_interval(session, criterion, config)
+        interval = compute_interval(session, criterion)
         result.intervals[criterion] = interval
         if not (interval.lower_unbounded or interval.upper_unbounded):
             result.reports[criterion] = criteria.verify_interval(
@@ -146,7 +143,7 @@ def run_analysis(config: AnalysisConfig, session: AnalysisSession | None = None)
 # ---------------------------------------------------------------------------
 # Report rendering
 
-_CRITERION_LABELS = {
+CRITERION_LABELS = {
     "exact": "Exact",
     "small_gain": "Small gain",
     "circle": "Circle",
@@ -181,7 +178,7 @@ def format_report_table(intervals: dict) -> str:
             continue
         iv = intervals[criterion]
         lines.append(
-            f"{_CRITERION_LABELS[criterion]:<14} "
+            f"{CRITERION_LABELS[criterion]:<14} "
             f"{_fmt_bound(iv.lower, iv.lower_unbounded):>12} "
             f"{_fmt_bound(iv.upper, iv.upper_unbounded):>12}   "
             f"{_fmt_witnesses(iv)}"
@@ -189,8 +186,9 @@ def format_report_table(intervals: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_report_csv(intervals: dict) -> str:
-    lines = ["criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses"]
+def format_report_csv(intervals: dict, margin: float) -> str:
+    """One row per interval; every row records the stability margin m of the run."""
+    lines = ["criterion,lower,upper,lower_unbounded,upper_unbounded,stability_margin,witnesses"]
     for criterion in CRITERIA:
         if criterion not in intervals:
             continue
@@ -200,7 +198,7 @@ def format_report_csv(intervals: dict) -> str:
         )
         lines.append(
             f"{criterion},{iv.lower!r},{iv.upper!r},"
-            f"{int(iv.lower_unbounded)},{int(iv.upper_unbounded)},{wit}"
+            f"{int(iv.lower_unbounded)},{int(iv.upper_unbounded)},{float(margin)!r},{wit}"
         )
     return "\n".join(lines) + "\n"
 
@@ -229,6 +227,14 @@ def parse_report_csv(text: str) -> dict:
             upper_unbounded=bool(int(up_unb)),
         )
     return intervals
+
+
+def parse_report_margin(text: str) -> float | None:
+    """The stability margin of a format_report_csv report; None if it records none."""
+    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    if len(rows) < 2 or "stability_margin" not in rows[0]:
+        return None
+    return float(rows[1][rows[0].index("stability_margin")])
 
 
 def format_matrix(name: str, mat: np.ndarray) -> str:

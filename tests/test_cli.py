@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cgmargin import criteria, svgplot
+from cgmargin import criteria, pipeline, svgplot
 from cgmargin.aircraft import load_default_model, load_model_file
-from cgmargin.cli import FIGURES, main
+from cgmargin.cli import FIGURE_CRITERIA, FIGURES, main
 from cgmargin.criteria import CRITERIA
 from cgmargin.pipeline import parse_report_csv
+
+REPORT_HEADER = "criterion,lower,upper,lower_unbounded,upper_unbounded,stability_margin,witnesses\n"
+# criterion -> real-axis intercepts (positive, negative) from its witnesses
+INTERCEPTS = {
+    "small_gain": lambda w: (w["r_sg"], -w["r_sg"]),
+    "circle": lambda w: (w["x_c"] + w["r_c"], w["x_c"] - w["r_c"]),
+    "positive_real": lambda w: (w["x_max"], w["x_min"]),
+    "popov": lambda w: (w["c_plus"], w["c_minus"]),
+}
 
 
 @pytest.fixture()
@@ -98,15 +107,23 @@ class TestAnalyzeCommand:
         assert result.exit_code != 0
         assert "unstable" in result.output
 
-    def test_midpoint_center_widens_circle(self, runner, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        run_ok(runner, ["analyze", "--criteria", "circle", "--out", str(out_a)])
-        run_ok(runner, ["analyze", "--criteria", "circle", "--midpoint-center",
-                        "--out", str(out_b)])
-        opt = parse_report_csv((out_a / "report.csv").read_text())["circle"]
-        mid = parse_report_csv((out_b / "report.csv").read_text())["circle"]
-        assert opt.upper != mid.upper
+    @pytest.mark.parametrize("args, zeros, poles", [
+        (["--controller-zeros", "", "--controller-poles", "-1"], (), (-1 + 0j,)),
+        (["--controller-zeros", "", "--controller-poles", ""], (), ()),
+    ], ids=["no_zeros", "static_gain"])
+    def test_empty_controller_roots_kept(self, runner, tmp_path, monkeypatch, args, zeros, poles):
+        sessions = []
+        build = pipeline.build_session
+
+        def recorded(config):
+            sessions.append(build(config))
+            return sessions[-1]
+
+        monkeypatch.setattr(pipeline, "build_session", recorded)
+        run_ok(runner, ["model", *args, "--controller-gain", "1", "--out", str(tmp_path)])
+        [session] = sessions
+        assert session.controller_tf.zeros == zeros
+        assert session.controller_tf.poles == poles
 
 
 class TestPlotCommand:
@@ -145,6 +162,27 @@ class TestPlotCommand:
         lines = [r for r in rows if r[0] == "line"]
         assert len(lines) == 2
         assert not (out / "fig_popov.svg").exists()
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_markers_are_report_intercepts(self, runner, tmp_path, session, figure):
+        # the plot draws the interval analyze reports: its markers are the
+        # real-axis intercepts that report.csv's witnesses give
+        run_ok(runner, ["analyze", "--out", str(tmp_path)])
+        run_ok(runner, ["plot", figure, "--format", "csv", "--out", str(tmp_path)])
+        criterion = FIGURE_CRITERIA[figure]
+        [row] = [r for r in (tmp_path / "report.csv").read_text().splitlines()
+                 if r.startswith(criterion + ",")]
+        w = {k: float(v) for k, v in (item.split("=") for item in row.split(",")[-1].split(";"))}
+        intercepts = INTERCEPTS[criterion](w)
+        rows = svgplot.csv_to_rows((tmp_path / f"locus_{figure}.csv").read_text())
+        assert [(a, b, c) for k, a, b, c in rows if k == "marker"] == [
+            (x, 0.0, 0.0) for x in intercepts
+        ]
+        if figure == "popov":
+            s = session.summary
+            samples = np.array([(a, c) for k, a, b, c in rows if k == "sample"])
+            assert np.array_equal(samples[:, 0], s.omegas)
+            assert np.array_equal(samples[:, 1], s.omegas * s.values.imag)
 
     def test_circle_geometry_matches_samples(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -205,10 +243,7 @@ class TestVerifyCommand:
     def test_crossing_inside_is_named(self, runner, tmp_path):
         # every sample of (-16.46, 0.5) is stable; the exact lower bound is not
         csv_path = tmp_path / "report.csv"
-        csv_path.write_text(
-            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
-            "popov,-16.46,0.5,0,0,\n"
-        )
+        csv_path.write_text(REPORT_HEADER + "popov,-16.46,0.5,0,0,0.0,\n")
         result = runner.invoke(
             main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
@@ -221,10 +256,7 @@ class TestVerifyCommand:
         # just outside a lower bound of 0 lies below it, where the loop is
         # stable: the exact lower bound is -16.39
         csv_path = tmp_path / "report.csv"
-        csv_path.write_text(
-            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
-            "exact,0,0.5123037430,0,0,\n"
-        )
+        csv_path.write_text(REPORT_HEADER + "exact,0,0.5123037430,0,0,0.0,\n")
         result = runner.invoke(
             main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
@@ -233,10 +265,7 @@ class TestVerifyCommand:
 
     def test_skips_unbounded_rows(self, runner, tmp_path):
         csv_path = tmp_path / "report.csv"
-        csv_path.write_text(
-            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
-            "popov,-inf,0.5,1,0,\n"
-        )
+        csv_path.write_text(REPORT_HEADER + "popov,-inf,0.5,1,0,0.0,\n")
         result = run_ok(
             runner, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
@@ -254,6 +283,38 @@ class TestStabilityMargin:
         assert result.output.splitlines() == [
             f"{name:<14} PASS (100 samples)" for name in ("exact", "popov")
         ]
+
+    @pytest.mark.parametrize("recorded, margin", [("0.01", "0.01"), ("0.01", "0"), ("0", "0.01")],
+                             ids=["same", "report_above", "report_below"])
+    def test_results_read_at_their_own_margin(self, runner, tmp_path, recorded, margin):
+        # the exact row of a report written at m = 0.01 fails at m = 0 (the
+        # loop at delta = -9.37712 is stable), so verify refuses to read it there
+        out = tmp_path / "out"
+        run_ok(runner, ["analyze", "--criteria", "exact", "--stability-margin", recorded,
+                        "--out", str(out)])
+        result = runner.invoke(main, ["verify", "--results", str(out / "report.csv"),
+                                      "--stability-margin", margin, "--out", str(tmp_path)])
+        if recorded == margin:
+            assert result.exit_code == 0
+            assert result.output == "exact          PASS (100 samples)\n"
+        else:
+            assert result.exit_code == 1
+            assert result.output == (
+                f"Error: {out / 'report.csv'} records stability margin {float(recorded)!r}, "
+                f"but --stability-margin is {float(margin)!r}\n"
+            )
+
+    def test_results_without_margin_refused(self, runner, tmp_path):
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(
+            "criterion,lower,upper,lower_unbounded,upper_unbounded,witnesses\n"
+            "exact,-16.39,0.5123,0,0,\n"
+        )
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {csv_path} records stability margin none, but --stability-margin is 0.0\n"
+        )
 
     def test_margin_past_slowest_mode_is_one_error_line(self, runner, tmp_path):
         result = runner.invoke(
