@@ -33,8 +33,6 @@ class FlightCondition:
     S: float        # wing area, m^2
     c: float        # mean aerodynamic chord, m
     g: float = STANDARD_GRAVITY
-    gamma_e: float = 0.0   # equilibrium flight-path angle, rad
-    alpha_e: float = 0.0   # equilibrium angle of attack, rad
 
     def __post_init__(self):
         for name in ("V0", "m", "Iy", "rho", "S", "c", "g"):
@@ -100,7 +98,6 @@ class UncertainPlant:
     nominal: StateSpace
     Q_A: np.ndarray
     Q_B: np.ndarray
-    mu: float   # m / [Iy (m - Zwdot)], 1/(kg m^2)
 
 
 def dimensionalize(fc: FlightCondition, d: DimensionlessDerivatives) -> DimensionalDerivatives:
@@ -245,8 +242,8 @@ def build_uncertain_plant(fc: FlightCondition, d: DimensionlessDerivatives) -> U
     dd = dimensionalize(fc, d)
     Mass, A_t, B_t = assemble_longitudinal(fc, dd)
     nominal = to_state_space(Mass, A_t, B_t, fc.V0)
-    Q_A, Q_B, mu = perturbation_matrices(fc, dd)
-    return UncertainPlant(nominal=nominal, Q_A=Q_A, Q_B=Q_B, mu=mu)
+    Q_A, Q_B, _ = perturbation_matrices(fc, dd)
+    return UncertainPlant(nominal=nominal, Q_A=Q_A, Q_B=Q_B)
 
 
 def augment_uncertain_plant(plant: UncertainPlant, Kq: float, Kalpha: float) -> UncertainPlant:
@@ -259,7 +256,7 @@ def augment_uncertain_plant(plant: UncertainPlant, Kq: float, Kalpha: float) -> 
     siso = inner_loop_stabilize(plant.nominal, Kq, Kalpha)
     K = inner_loop_gain_row(Kq, Kalpha)
     Q_A = plant.Q_A - plant.Q_B @ K @ plant.nominal.C
-    return UncertainPlant(nominal=siso, Q_A=Q_A, Q_B=plant.Q_B.copy(), mu=plant.mu)
+    return UncertainPlant(nominal=siso, Q_A=Q_A, Q_B=plant.Q_B.copy())
 
 
 # ---------------------------------------------------------------------------

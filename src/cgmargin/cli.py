@@ -64,23 +64,16 @@ def _common_options(fn):
     return fn
 
 
-def _make_config(criteria_names=CRITERIA, **kw) -> pipeline.AnalysisConfig:
-    def given(name, default):   # an empty list is given: no zeros, or no poles
-        return default if kw[name] is None else kw[name]
+def _make_config(controller_zeros, controller_poles, controller_gain, **settings):
+    def given(value, default):   # an empty list is given: no zeros, or no poles
+        return default if value is None else value
 
     try:
         return pipeline.AnalysisConfig(
-            model_path=kw["model_path"],
-            controller_zeros=given("controller_zeros", pipeline.DEFAULT_CONTROLLER_ZEROS),
-            controller_poles=given("controller_poles", pipeline.DEFAULT_CONTROLLER_POLES),
-            controller_gain=given("controller_gain", pipeline.DEFAULT_CONTROLLER_GAIN),
-            kq=kw["kq"],
-            kalpha=kw["kalpha"],
-            wmin=kw["wmin"],
-            wmax=kw["wmax"],
-            npoints=kw["npoints"],
-            criteria=tuple(criteria_names),
-            stability_margin=kw["stability_margin"],
+            controller_zeros=given(controller_zeros, pipeline.DEFAULT_CONTROLLER_ZEROS),
+            controller_poles=given(controller_poles, pipeline.DEFAULT_CONTROLLER_POLES),
+            controller_gain=given(controller_gain, pipeline.DEFAULT_CONTROLLER_GAIN),
+            **settings,
         )
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -135,8 +128,7 @@ def cmd_analyze(criteria_list: str, n_verify: int, out_dir: Path, **kw):
                   .replace("posreal", "positive_real")
                   for tok in (t.strip() for t in criteria_list.split(","))
                   if tok)
-    config = _make_config(criteria_names=names, **kw)
-    config.n_verify = n_verify
+    config = _make_config(criteria=names, n_verify=n_verify, **kw)
     session = _build_session(config)
     result = pipeline.run_analysis(config, session=session)
     table = pipeline.format_report_table(result.intervals)
@@ -191,7 +183,7 @@ def _figure_rows(session, figure: str):
         geometry, intercepts = [("circle", xc, rc, 0.0)], (xc + rc, xc - rc)
     elif criterion == "positive_real":
         intercepts = (w["x_max"], w["x_min"])
-        geometry = [("vline", x, 0.0, 0.0) for x in intercepts]
+        geometry = [("line", 0.0, x, 0.0) for x in intercepts]   # Popov lines at q = 0
     else:
         intercepts = (w["c_plus"], w["c_minus"])
         geometry = [("line", w["q_plus"], w["c_plus"], 0.0),
@@ -219,19 +211,18 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
     config = _make_config(**kw)
     if results is not None:
         text = results.read_text()
-        margin = pipeline.parse_report_margin(text)
+        try:
+            margin = pipeline.parse_report_margin(text)
+            intervals = pipeline.parse_report_csv(text)
+        except ValueError as exc:
+            raise click.ClickException(f"{results}: {exc}")
         if margin != config.stability_margin:
             recorded = "none" if margin is None else repr(margin)
             raise click.ClickException(f"{results} records stability margin {recorded}, "
                                        f"but --stability-margin is {config.stability_margin!r}")
     session = _build_session(config)
-    if results is not None:
-        intervals = pipeline.parse_report_csv(text)
-        reports = {}
-    else:
-        config.n_verify = n_samples
-        result = pipeline.run_analysis(config, session=session)
-        intervals, reports = result.intervals, result.reports
+    if results is None:
+        intervals = {name: pipeline.compute_interval(session, name) for name in CRITERIA}
     any_failed = False
     for name in CRITERIA:
         if name not in intervals:
@@ -240,10 +231,7 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
         if iv.lower_unbounded or iv.upper_unbounded:
             click.echo(f"{name:<14} SKIP (unbounded side)")
             continue
-        if name in reports:
-            report = reports[name]
-        else:
-            report = criteria.verify_interval(session.model, iv, n_samples)
+        report = criteria.verify_interval(session.model, iv, n_samples)
         status = "PASS" if report.passed else "FAIL"
         detail = ""
         if report.crossings:

@@ -82,8 +82,14 @@ class StabilityInterval:
     upper: float
     criterion: str
     witnesses: dict
-    lower_unbounded: bool = False
-    upper_unbounded: bool = False
+
+    @property
+    def lower_unbounded(self) -> bool:
+        return self.lower == -math.inf
+
+    @property
+    def upper_unbounded(self) -> bool:
+        return self.upper == math.inf
 
 
 @dataclass(frozen=True)
@@ -387,21 +393,17 @@ def _optimize_popov_line(M: StateSpace, omegas: np.ndarray, values: np.ndarray, 
 
 
 def _interval_from_intercepts(pos, neg, criterion, witnesses):
-    lower_unbounded = pos <= 0
-    upper_unbounded = neg >= 0
-    if lower_unbounded or upper_unbounded:
+    if pos <= 0 or neg >= 0:
         warnings.warn(
             f"{criterion}: intercept of the wrong sign; side reported as "
             "unbounded",
             stacklevel=3,
         )
     return StabilityInterval(
-        lower=-math.inf if lower_unbounded else -1.0 / pos,
-        upper=math.inf if upper_unbounded else -1.0 / neg,
+        lower=-math.inf if pos <= 0 else -1.0 / pos,
+        upper=math.inf if neg >= 0 else -1.0 / neg,
         criterion=criterion,
         witnesses=witnesses,
-        lower_unbounded=lower_unbounded,
-        upper_unbounded=upper_unbounded,
     )
 
 
@@ -411,56 +413,47 @@ def _interval_from_intercepts(pos, neg, criterion, witnesses):
 
 def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
     """Largest eigenvalue real part of H + delta*Qcal for each delta: stacked
-    eigvals, STACK_BYTES at a time.
+    eigvals of STACK_BYTES, or more where numpy needs more to drop the GIL.
 
-    With SPLIT_MIN_N states or more and two CPUs, a stack whose halves can
-    run without the GIL is split: a worker thread solves the second half
-    while the caller solves the first.  Stacks then hold enough matrices
-    for that, past STACK_BYTES if need be (8, 1 MiB, at n = 128).  Each
-    matrix goes through the same eigvals, so the results are bit-identical.
+    With SPLIT_MIN_N states or more, two CPUs and more than GIL_FREE_SIZE / n
+    deltas per half, a worker thread solves the second half in one stack,
+    built first by the caller (closed_loop_matrix stays on this thread), while
+    the caller solves the first half; the worker's exception is re-raised
+    after the join.  Every matrix goes through the same eigvals, so the
+    results are bit-identical to one solve per matrix.
     """
     n = model.H.shape[0]
-    size = max(1, STACK_BYTES // (8 * model.H.size))
-    split = n >= SPLIT_MIN_N and _cpus() >= 2
-    if split:
-        size = max(size, 2 * (GIL_FREE_SIZE // n + 1))
+    size = max(STACK_BYTES // (8 * model.H.size), GIL_FREE_SIZE // n + 1)
+    cut = deltas.size // 2   # the caller solves deltas[:cut], a worker the rest
+    if n < SPLIT_MIN_N or _cpus() < 2 or cut * n <= GIL_FREE_SIZE:
+        cut = deltas.size
     out = np.empty(deltas.size)
-    for lo in range(0, deltas.size, size):
-        stack = closed_loop_matrix(model, deltas[lo : lo + size, None, None])
-        if split and len(stack) // 2 * n > GIL_FREE_SIZE:
-            _split_max_real_parts(stack, out[lo : lo + size])
-        else:
-            _stack_max_real_parts(stack, out[lo : lo + size])
-    return out
+    worker, errors = None, []
 
+    def solve(stack, into):
+        np.max(np.linalg.eigvals(stack).real, axis=1, out=into)
 
-def _stack_max_real_parts(stack: np.ndarray, out: np.ndarray) -> None:
-    np.max(np.linalg.eigvals(stack).real, axis=1, out=out)
+    if cut < deltas.size:
+        second = closed_loop_matrix(model, deltas[cut:, None, None])
 
+        def work():
+            try:
+                solve(second, out[cut:])
+            except Exception as exc:  # re-raised by the caller below
+                errors.append(exc)
 
-def _split_max_real_parts(stack: np.ndarray, out: np.ndarray) -> None:
-    """_stack_max_real_parts with the second half of stack on a worker thread.
-
-    The worker's exception is re-raised here, after the join, so no half
-    can return unfilled.
-    """
-    half = len(stack) // 2
-    errors = []
-
-    def work():
-        try:
-            _stack_max_real_parts(stack[half:], out[half:])
-        except Exception as exc:  # re-raised by the caller below
-            errors.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
+        worker = threading.Thread(target=work)
+        worker.start()
     try:
-        _stack_max_real_parts(stack[:half], out[:half])
+        for lo in range(0, cut, size):
+            hi = min(lo + size, cut)
+            solve(closed_loop_matrix(model, deltas[lo:hi, None, None]), out[lo:hi])
     finally:
-        worker.join()
+        if worker is not None:
+            worker.join()
     if errors:
         raise errors[0]
+    return out
 
 
 def _cpus() -> int:
@@ -527,8 +520,6 @@ def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> S
         upper=upper,
         criterion="exact",
         witnesses={"upper_crossing": up_cross, "lower_crossing": lo_cross},
-        lower_unbounded=lo_cross is None,
-        upper_unbounded=up_cross is None,
     )
 
 

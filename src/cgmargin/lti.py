@@ -31,7 +31,7 @@ CONJUGATE_TOL = 1e-10
 
 # bytes of a stacked work array: complex n-vectors per frequency in the
 # response recurrence, real n x n matrices per delta in verify_interval
-# (whose two-thread split may take more, see criteria.GIL_FREE_SIZE)
+# (more where numpy needs more to drop the GIL, see criteria.GIL_FREE_SIZE)
 STACK_BYTES = 512 * 1024
 # a frequency's recurrence vector is rescaled once an entry passes this;
 # without it n = 128 overflows near w = 1e4
@@ -106,6 +106,8 @@ def tf_from_zpk(zeros, poles, gain: float) -> TransferFunction:
     """Build a proper real-coefficient transfer function from zpk data."""
     if not np.isfinite(gain):
         raise RepresentationError("gain must be finite")
+    if not np.isfinite(np.array([*zeros, *poles], dtype=complex)).all():
+        raise RepresentationError("zeros and poles must be finite")
     _check_conjugate_closed(zeros, "zero")
     _check_conjugate_closed(poles, "pole")
     if len(zeros) > len(poles):

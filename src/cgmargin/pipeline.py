@@ -45,8 +45,10 @@ class AnalysisConfig:
     n_verify: int = 50
 
     def __post_init__(self):
-        if self.wmin <= 0 or self.wmax <= self.wmin:
-            raise ValueError("frequency window must satisfy 0 < wmin < wmax")
+        if not 0 < self.wmin < self.wmax < np.inf:   # nan fails
+            raise ValueError("frequency window must satisfy 0 < wmin < wmax < inf")
+        if not np.isfinite([self.kq, self.kalpha]).all():
+            raise ValueError(f"need finite gains, got kq={self.kq!r}, kalpha={self.kalpha!r}")
         if not self.criteria:
             raise ValueError("criterion selection set must be nonempty")
         unknown = set(self.criteria) - set(CRITERIA)
@@ -152,8 +154,8 @@ CRITERION_LABELS = {
 }
 
 
-def _fmt_bound(value: float, unbounded: bool) -> str:
-    return "unbounded" if unbounded else f"{value:.6g}"
+def _fmt_bound(value: float) -> str:
+    return "unbounded" if np.isinf(value) else f"{value:.6g}"
 
 
 def _fmt_witnesses(interval: StabilityInterval) -> str:
@@ -179,8 +181,8 @@ def format_report_table(intervals: dict) -> str:
         iv = intervals[criterion]
         lines.append(
             f"{CRITERION_LABELS[criterion]:<14} "
-            f"{_fmt_bound(iv.lower, iv.lower_unbounded):>12} "
-            f"{_fmt_bound(iv.upper, iv.upper_unbounded):>12}   "
+            f"{_fmt_bound(iv.lower):>12} "
+            f"{_fmt_bound(iv.upper):>12}   "
             f"{_fmt_witnesses(iv)}"
         )
     return "\n".join(lines) + "\n"
@@ -212,19 +214,21 @@ def _csv_value(v) -> str:
 
 
 def parse_report_csv(text: str) -> dict:
-    """Read back the intervals written by format_report_csv (bounds only)."""
+    """Read back the intervals written by format_report_csv from their bounds
+    alone (a side is unbounded exactly when its bound is -inf or inf).  A row
+    without two numeric bounds raises ValueError naming its line."""
     intervals: dict[str, StabilityInterval] = {}
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    for line in lines[1:]:
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    for lineno, line in rows[1:]:
         fields = line.split(",")
-        criterion, lower, upper, lo_unb, up_unb = fields[:5]
-        intervals[criterion] = StabilityInterval(
-            lower=float(lower),
-            upper=float(upper),
-            criterion=criterion,
-            witnesses={},
-            lower_unbounded=bool(int(lo_unb)),
-            upper_unbounded=bool(int(up_unb)),
+        try:
+            lower, upper = float(fields[1]), float(fields[2])
+        except (IndexError, ValueError):
+            lower = upper = np.nan
+        if np.isnan([lower, upper]).any():
+            raise ValueError(f"line {lineno} has no numeric lower and upper bound: {line!r}")
+        intervals[fields[0]] = StabilityInterval(
+            lower=lower, upper=upper, criterion=fields[0], witnesses={}
         )
     return intervals
 

@@ -4,8 +4,8 @@ Figures are described by rows of (kind, a, b, c):
 
 * ``sample``: a = omega, b = abscissa, c = ordinate (locus point);
 * ``circle``: a = real-axis center, b = radius;
-* ``line``: the set x - a*y = b (a = Popov slope, b = real intercept);
-* ``vline``: vertical line at x = a;
+* ``line``: the set x - a*y = b (a = Popov slope, b = real intercept;
+  vertical at a = 0);
 * ``marker``: real-axis intercept marker at x = a.
 
 The same rows are written to CSV, so a figure can be rebuilt from its
@@ -44,7 +44,7 @@ def _data_bounds(rows):
         elif kind == "circle":
             xs.extend([a - b, a + b])
             ys.extend([-b, b])
-        elif kind in ("vline", "marker"):
+        elif kind == "marker":
             xs.append(a)
         elif kind == "line":
             xs.append(b)
@@ -147,13 +147,6 @@ def render_svg(rows, title: str, xlabel: str, ylabel: str, equal_aspect: bool = 
             out.append(
                 f'<circle cx="{_f(m.px(a))}" cy="{_f(m.py(0.0))}" '
                 f'r="{_f(b * m.sx)}" fill="none" stroke="#b03030" '
-                f'stroke-width="1.5" stroke-dasharray="6 4"/>'
-            )
-        elif kind == "vline":
-            x = _f(m.px(a))
-            out.append(
-                f'<line x1="{x}" y1="{MARGIN_T}" x2="{x}" '
-                f'y2="{HEIGHT - MARGIN_B}" stroke="#b03030" '
                 f'stroke-width="1.5" stroke-dasharray="6 4"/>'
             )
         elif kind == "line":

@@ -114,8 +114,6 @@ def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, marg
         upper=math.inf if upper is None else upper,
         criterion="exact",
         witnesses={"route": "scan", "step": step},
-        lower_unbounded=lower is None,
-        upper_unbounded=upper is None,
     )
 
 

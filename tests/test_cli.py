@@ -3,7 +3,7 @@ import pytest
 from click.testing import CliRunner
 
 from cgmargin import criteria, pipeline, svgplot
-from cgmargin.aircraft import load_default_model, load_model_file
+from cgmargin.aircraft import default_model_path, load_default_model, load_model_file
 from cgmargin.cli import FIGURE_CRITERIA, FIGURES, main
 from cgmargin.criteria import CRITERIA
 from cgmargin.pipeline import parse_report_csv
@@ -43,6 +43,34 @@ class TestModelCommand:
     def test_missing_model_file(self, runner, tmp_path):
         result = runner.invoke(main, ["model", "--model", str(tmp_path / "x.cfg")])
         assert result.exit_code != 0
+
+    def test_trim_angles_refused(self, runner, tmp_path):
+        # the equations take no trim angles: a file that names one is refused,
+        # not read as a no-op
+        text = default_model_path().read_text()
+        path = tmp_path / "climb.cfg"
+        path.write_text(text + "gamma_e = 0.3\nalpha_e = 0.2\n")
+        lineno = len(text.splitlines()) + 1
+        result = runner.invoke(main, ["model", "--model", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}:{lineno}: unknown field 'gamma_e'\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["analyze", "--kq", "nan"], "need finite gains"),
+        (["analyze", "--kq", "inf"], "need finite gains"),
+        (["model", "--kalpha", "inf"], "need finite gains"),
+        (["analyze", "--controller-poles", "nan,-1,-2,-3"], "zeros and poles must be finite"),
+        (["analyze", "--controller-zeros", "nan"], "zeros and poles must be finite"),
+        (["analyze", "--wmin", "nan"], "frequency window"),
+        (["analyze", "--wmax", "inf"], "frequency window"),
+    ], ids=["kq_nan", "kq_inf", "kalpha_inf", "pole_nan", "zero_nan", "wmin_nan", "wmax_inf"])
+    def test_nonfinite_input_is_one_error_line(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: ") and message in line
+        assert not (tmp_path / "out").exists()
 
     def test_bad_frequency_window(self, runner, tmp_path):
         result = runner.invoke(
@@ -163,6 +191,14 @@ class TestPlotCommand:
         assert len(lines) == 2
         assert not (out / "fig_popov.svg").exists()
 
+    def test_posreal_rows_are_lines_of_slope_0(self, runner, tmp_path, result):
+        run_ok(runner, ["plot", "nyquist_posreal", "--format", "csv", "--out", str(tmp_path)])
+        rows = svgplot.csv_to_rows((tmp_path / "locus_nyquist_posreal.csv").read_text())
+        w = result.intervals["positive_real"].witnesses
+        assert [r for r in rows if r[0] not in ("sample", "marker")] == [
+            ("line", 0.0, w["x_max"], 0.0), ("line", 0.0, w["x_min"], 0.0)
+        ]
+
     @pytest.mark.parametrize("figure", FIGURES)
     def test_markers_are_report_intercepts(self, runner, tmp_path, session, figure):
         # the plot draws the interval analyze reports: its markers are the
@@ -270,6 +306,29 @@ class TestVerifyCommand:
             runner, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
         assert "SKIP" in result.output
+
+    @pytest.mark.parametrize("row, line", [
+        ("popov,-inf,0.5,0,0,0.0,", "popov          SKIP (unbounded side)"),
+        ("popov,-11.5,0.5,1,0,0.0,", "popov          PASS (100 samples)"),
+    ], ids=["infinite_bound", "finite_bounds"])
+    def test_unbounded_read_off_the_bounds(self, runner, tmp_path, row, line):
+        # the flag columns are not read: a side is unbounded exactly when its
+        # bound is infinite
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + row + "\n")
+        result = run_ok(runner, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.output.splitlines() == [line]
+
+    def test_malformed_report_is_one_error_line(self, runner, tmp_path):
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + "exact,-16.39,x,0,0,0.0,\n")
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == (
+            f"Error: {csv_path}: line 2 has no numeric lower and upper bound: "
+            "'exact,-16.39,x,0,0,0.0,'\n"
+        )
 
 
 class TestStabilityMargin:

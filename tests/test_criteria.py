@@ -813,8 +813,8 @@ class TestSplitAudit:
         monkeypatch.setattr(threading, "Thread", Recorded)
         return alive
 
-    # n = 128: 50 deltas in 7 stacks of up to 8, the last 2 too few to split
-    @pytest.mark.parametrize("n, workers", [(24, 1), (32, 1), (64, 3), (128, 6)])
+    # one worker per call, for the second 25 deltas; below SPLIT_MIN_N none
+    @pytest.mark.parametrize("n, workers", [(8, 0), (24, 1), (32, 1), (64, 1), (128, 1)])
     def test_equals_serial_eigvals(self, monkeypatch, n, workers):
         model = random_rank_one_model(np.random.default_rng(0), n)
         deltas = np.linspace(-1.0, 1.0, 52)[1:-1]

@@ -150,7 +150,6 @@ class TestBuildMDelta:
             nominal=nominal,
             Q_A=np.array([[1.0]]),
             Q_B=np.zeros((1, 1)),
-            mu=1.0,
         )
         controller = ss_realize(tf_from_zpk([], [], 0.0))
         with pytest.raises(UnstableFixedPartError):
