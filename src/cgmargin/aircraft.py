@@ -36,8 +36,8 @@ class FlightCondition:
 
     def __post_init__(self):
         for name in ("V0", "m", "Iy", "rho", "S", "c", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"flight condition field {name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:   # nan fails too
+                raise ValueError(f"flight condition field {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,8 @@ def load_model_file(path) -> tuple[FlightCondition, DimensionlessDerivatives]:
     """Parse a plain-text model file of ``name = value`` lines.
 
     Blank lines and ``#`` comments are ignored.  Field names are the
-    FlightCondition and DimensionlessDerivatives field names; unknown or
-    missing required fields raise ModelFileError with diagnostics.
+    FlightCondition and DimensionlessDerivatives field names; an unknown,
+    missing, non-finite or out-of-range field raises ModelFileError.
     """
     path = Path(path)
     try:
@@ -305,12 +305,17 @@ def parse_model_text(text: str, source: str = "<string>"):
                 f"{source}:{lineno}: field {name!r} has non-numeric value "
                 f"{val.strip()!r}"
             ) from exc
+        if not np.isfinite(values[name]):
+            raise ModelFileError(f"{source}:{lineno}: field {name!r} is not finite: {val.strip()!r}")
     missing = sorted((_FC_REQUIRED | _DL_FIELDS) - set(values))
     if missing:
         raise ModelFileError(
             f"{source}: missing required field(s): {', '.join(missing)}"
         )
-    fc = FlightCondition(**{k: v for k, v in values.items() if k in _FC_FIELDS})
+    try:
+        fc = FlightCondition(**{k: v for k, v in values.items() if k in _FC_FIELDS})
+    except ValueError as exc:
+        raise ModelFileError(f"{source}: {exc}") from exc
     dl = DimensionlessDerivatives(
         **{k: v for k, v in values.items() if k in _DL_FIELDS}
     )

@@ -28,7 +28,6 @@ import math
 import os
 import threading
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,13 @@ SEED_RTOL = 1e-3
 Q_MAX = 1e4
 SEED_EPS = 1e-6
 
-# verify_interval's eigen solves run on two threads when H has at least
-# SPLIT_MIN_N states and two CPUs are free.  numpy drops the GIL for a
-# stacked eigvals of k matrices n x n only when k*n exceeds GIL_FREE_SIZE
-# (its NPY_BEGIN_THREADS_THRESHOLDED); smaller halves run in turn, not side
-# by side: 0.6-0.8x for 50 deltas at n = 8-20, against 1.5-1.9x from n = 24
-# on a 2-CPU host with one BLAS thread.  The bundled 8-state model stays on
-# one thread: its audit takes under 1 ms, a thread start 0.35 ms to 9 ms
-SPLIT_MIN_N = 24
+# verify_interval's eigen solves run on two threads when two CPUs are free
+# and each half holds more than GIL_FREE_SIZE / n matrices n x n.  numpy
+# drops the GIL for a stacked eigvals of k of them only when k*n exceeds
+# GIL_FREE_SIZE (its NPY_BEGIN_THREADS_THRESHOLDED); smaller halves would run
+# in turn, not side by side, and pay a thread start (0.35 ms to 9 ms) for
+# nothing.  On the bundled 8-state model a 50-sample audit stays on one
+# thread and a 200-sample one splits; 50 samples split from n = 21
 GIL_FREE_SIZE = 500
 
 
@@ -324,7 +322,7 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     vertical lines, is among the slopes.
     """
     M, omegas = summary.system, summary.omegas
-    w = np.array([wk for wk, _ in _axis_crossings(M) if 0.0 < wk <= omegas[-1]])
+    w = np.array([wk for wk, _ in M.real_crossings if 0.0 < wk <= omegas[-1]])
     w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
     w = w[w <= omegas[-1]]
     seeded = _merged(omegas, summary.values, w, freq_values(M, w))
@@ -415,17 +413,17 @@ def _max_real_parts(model: MDeltaModel, deltas: np.ndarray) -> np.ndarray:
     """Largest eigenvalue real part of H + delta*Qcal for each delta: stacked
     eigvals of STACK_BYTES, or more where numpy needs more to drop the GIL.
 
-    With SPLIT_MIN_N states or more, two CPUs and more than GIL_FREE_SIZE / n
-    deltas per half, a worker thread solves the second half in one stack,
-    built first by the caller (closed_loop_matrix stays on this thread), while
-    the caller solves the first half; the worker's exception is re-raised
-    after the join.  Every matrix goes through the same eigvals, so the
-    results are bit-identical to one solve per matrix.
+    With two CPUs and more than GIL_FREE_SIZE / n deltas per half, whatever
+    n, a worker thread solves the second half in one stack, built first by
+    the caller (closed_loop_matrix stays on this thread), while the caller
+    solves the first half; the worker's exception is re-raised after the
+    join.  Every matrix goes through the same eigvals, so the results are
+    bit-identical to one solve per matrix, however the deltas are split.
     """
     n = model.H.shape[0]
     size = max(STACK_BYTES // (8 * model.H.size), GIL_FREE_SIZE // n + 1)
     cut = deltas.size // 2   # the caller solves deltas[:cut], a worker the rest
-    if n < SPLIT_MIN_N or _cpus() < 2 or cut * n <= GIL_FREE_SIZE:
+    if _cpus() < 2 or cut * n <= GIL_FREE_SIZE:
         cut = deltas.size
     out = np.empty(deltas.size)
     worker, errors = None, []
@@ -463,34 +461,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# crossing set per system M: systems are immutable, and an entry goes when
-# its system does
-_CROSSINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _axis_crossings(M: StateSpace) -> tuple:
-    """Every (w, x) with x = M(jw) real, w >= 0 and |x| > 1e-12.
-
-    These are w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
-    (diag(H, -H), [b; b], [c, c]).  A model built at a stability margin m
-    carries M(s - m), so these are then the crossings on Re s = -m.  The
-    set is computed once per system, and keyed on M, so that
-    ``exact_bounds``, ``verify_interval`` (through ``model.M``) and
-    ``popov_bounds`` (through ``summary.system``) share one solve.
-    """
-    if M in _CROSSINGS:
-        return _CROSSINGS[M]
-    H, b, c = M.A, M.B[:, 0], M.C[0]
-    zero = np.zeros_like(H)
-    w = imaginary_zeros(
-        np.block([[H, zero], [zero, -H]]), np.concatenate([b, b]), np.concatenate([c, c])
-    )
-    w = np.concatenate([[0.0], w[w > 0]])
-    x = freq_values(M, w).real
-    _CROSSINGS[M] = tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
-    return _CROSSINGS[M]
-
-
 def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> StabilityInterval:
     """Maximal open interval of delta around 0 with stable H + delta*Qcal.
 
@@ -501,6 +471,8 @@ def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> S
     witnesses ``upper_crossing`` and ``lower_crossing`` are the (w, x) of
     each bound.  On a model built at a stability margin m (``build_mdelta``)
     H is H + m*I, so the interval keeps every eigenvalue left of Re s = -m.
+    The x are ``model.M.real_crossings``, one solve per system.  The nominal
+    check stays here: a model need not come from ``build_mdelta``.
 
     ``summary`` is ignored: the interval is read off the realization of M,
     not off a sampled locus.  It stays for callers that pass it
@@ -508,7 +480,7 @@ def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> S
     """
     if _max_real_parts(model, np.zeros(1))[0] >= 0:
         raise UnstableFixedPartError("nominal closed loop is not stable")
-    crossings = _axis_crossings(model.M)
+    crossings = model.M.real_crossings
     upper, up_cross = min(
         ((-1.0 / x, (w, x)) for w, x in crossings if x < 0), default=(math.inf, None)
     )
@@ -546,7 +518,7 @@ def verify_interval(
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     crossings = tuple(
         (-1.0 / x, w)
-        for w, x in _axis_crossings(model.M)
+        for w, x in model.M.real_crossings
         if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
     )
     notes = ""
@@ -559,18 +531,17 @@ def verify_interval(
     deltas = np.empty(0)
     if interval.lower < interval.upper:
         deltas = np.linspace(interval.lower, interval.upper, n_samples + 2)[1:-1]
-    failures = [
-        (float(d), float(mr))
-        for d, mr in zip(deltas, _max_real_parts(model, deltas))
-        if mr >= 0
-    ]
+    outside = np.empty(0)
     if interval.criterion == "exact":
         bounds = np.array([interval.lower, interval.upper])
         outside = np.where(bounds != 0, bounds * (1 + 1e-3), [-1e-3, 1e-3])
-        for d, mr in zip(outside, _max_real_parts(model, outside)):
-            if mr < 0:
-                failures.append((float(d), float(mr)))
-                notes = "expected instability just outside the exact bound"
+    # the probes share the interior deltas' solve, and its split decision
+    real_parts = _max_real_parts(model, np.concatenate([deltas, outside]))
+    failures = [(float(d), float(mr)) for d, mr in zip(deltas, real_parts) if mr >= 0]
+    for d, mr in zip(outside, real_parts[deltas.size:]):
+        if mr < 0:
+            failures.append((float(d), float(mr)))
+            notes = "expected instability just outside the exact bound"
     return VerificationReport(
         criterion=interval.criterion,
         passed=not (failures or crossings),

@@ -29,5 +29,5 @@ class UnstableFixedPartError(CgMarginError):
     """The fixed part of the feedback structure is not asymptotically stable."""
 
 
-class ModelFileError(CgMarginError):
-    """A model-definition file is missing, malformed, or incomplete."""
+class ModelFileError(CgMarginError, ValueError):
+    """A model-definition file is missing, malformed, incomplete or out of range."""

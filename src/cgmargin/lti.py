@@ -10,7 +10,9 @@ costs O(n^3) once per system and O(n^2) per point: the system is reduced
 to a controller Hessenberg form, cached on it, and each point is one
 recurrence on that form (Hyman's method, backward stable; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.6.1).
-``StateSpace.evaluate`` stays one dense LU solve per point.
+``StateSpace.evaluate`` stays one dense LU solve per point.  A system
+caches two facts on first use: that Hessenberg form
+(``controller_hessenberg``) and where its response is real (``real_crossings``).
 """
 
 from __future__ import annotations
@@ -184,6 +186,19 @@ class StateSpace:
         ``_controller_hessenberg``.  Computed on first use and kept.
         """
         return _controller_hessenberg(self.A, self.B[:, 0], self.C[0])
+
+    @cached_property
+    def real_crossings(self) -> tuple:
+        """Every (w, x) with x = M(jw) real, w >= 0 and |x| > 1e-12 (SISO): w = 0
+        and the jw-axis zeros of M(s) - M(-s), realized as (diag(A, -A), [b; b],
+        [c, c]).  On M(s - m), built at a stability margin m, these are the
+        crossings on Re s = -m.  Computed on first use and kept."""
+        A, b, c, zero = self.A, self.B[:, 0], self.C[0], np.zeros_like(self.A)
+        A2 = np.block([[A, zero], [zero, -A]])
+        w = imaginary_zeros(A2, np.concatenate([b, b]), np.concatenate([c, c]))
+        w = np.concatenate([[0.0], w[w > 0]])
+        x = freq_values(self, w).real
+        return tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
 
 
 @dataclass(frozen=True, eq=False)

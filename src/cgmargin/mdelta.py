@@ -14,7 +14,7 @@ import numpy as np
 
 from .aircraft import UncertainPlant
 from .errors import DimensionError, UnstableFixedPartError, UnsupportedRankError
-from .lti import StateSpace, is_hurwitz
+from .lti import StateSpace
 
 RANK_RATIO_TOL = 1e-8
 
@@ -112,10 +112,11 @@ def build_mdelta(plant: UncertainPlant, controller: StateSpace, margin: float = 
     H, Qcal = closed_loop_uncertain(plant, controller)
     if margin != 0.0:
         H = H + margin * np.eye(H.shape[0])
-    if not is_hurwitz(H):
+    slowest = np.linalg.eigvals(H).real.max()
+    if not slowest < 0.0:
         raise UnstableFixedPartError(
             f"nominal closed loop is unstable at stability margin {margin:g}: its slowest "
-            f"mode, at Re s = {np.linalg.eigvals(H).real.max() - margin:.5g}, does not clear it"
+            f"mode, at Re s = {slowest - margin:.5g}, does not clear it"
         )
     sigma, v, w = rank_one_factor(Qcal)
     return MDeltaModel(

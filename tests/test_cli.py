@@ -72,6 +72,27 @@ class TestModelCommand:
         assert line.startswith("Error: ") and message in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "model"])
+    @pytest.mark.parametrize("field, value", [
+        ("V0", "nan"), ("Z_w", "nan"), ("M_q", "inf"), ("m", "-1.0"),
+    ])
+    def test_bad_model_value_is_one_error_line(self, runner, tmp_path, command, field, value):
+        # each was a traceback: LinAlgError from the non-finite values, an
+        # uncaught ValueError from the negative mass
+        lines = default_model_path().read_text().splitlines()
+        [lineno] = [i for i, line in enumerate(lines) if line.split("=")[0].strip() == field]
+        lines[lineno] = f"{field} = {value}"
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [command, "--model", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        [line] = result.output.splitlines()
+        assert line.startswith(f"Error: {path}") and field in line
+        if value != "-1.0":
+            assert line.startswith(f"Error: {path}:{lineno + 1}: field {field!r}")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_frequency_window(self, runner, tmp_path):
         result = runner.invoke(
             main, ["model", "--wmin", "10", "--wmax", "1", "--out", str(tmp_path)]

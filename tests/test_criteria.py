@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cgmargin import criteria
+from cgmargin import criteria, lti
 from cgmargin.criteria import (
     StabilityInterval,
     _minimax_line,
@@ -333,7 +333,7 @@ class TestCertificate:
         s = session.summary
         w = real_value_frequencies(s.system)
         w = w[(w > 0) & (w <= s.omegas[-1])]
-        criteria._axis_crossings(s.system)   # memoized before counting
+        s.system.real_crossings   # cached on M before counting
         calls = []
 
         def recorded(M, omegas):
@@ -347,7 +347,7 @@ class TestCertificate:
         assert np.isin(w, seeded[0]).all()
 
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
-        # the crossing set is memoized on M: whichever of exact_bounds and
+        # the crossing set is cached on M: whichever of exact_bounds and
         # popov_bounds runs first makes the one d = 0 solve, the other none
         calls = []
 
@@ -362,7 +362,7 @@ class TestCertificate:
         def popov(model):
             popov_bounds(sample_locus(model.M))
 
-        monkeypatch.setattr(criteria, "imaginary_zeros", counted)
+        monkeypatch.setattr(lti, "imaginary_zeros", counted)
         M = session.model.M
         for first, second in ((exact, popov), (popov, exact)):
             # a copy of M has no crossing set yet
@@ -724,6 +724,20 @@ class TestVerification:
         assert report.passed and report.n_checked == 50
         assert report.failures == () and report.crossings == ()
 
+    def test_exact_audit_is_one_solve(self, session, monkeypatch):
+        # the interior deltas and the two probes just outside the exact
+        # bounds go through one _max_real_parts call
+        iv = exact_bounds(session.model)
+        solve, sizes = criteria._max_real_parts, []
+
+        def counted(model, deltas):
+            sizes.append(deltas.size)
+            return solve(model, deltas)
+
+        monkeypatch.setattr(criteria, "_max_real_parts", counted)
+        assert verify_interval(session.model, iv, 50).passed
+        assert sizes == [52]
+
     def test_inflated_interval_fails(self, session):
         iv = exact_bounds(session.model, session.summary)
         bad = dataclasses.replace(iv, upper=1.0)
@@ -813,11 +827,16 @@ class TestSplitAudit:
         monkeypatch.setattr(threading, "Thread", Recorded)
         return alive
 
-    # one worker per call, for the second 25 deltas; below SPLIT_MIN_N none
-    @pytest.mark.parametrize("n, workers", [(8, 0), (24, 1), (32, 1), (64, 1), (128, 1)])
-    def test_equals_serial_eigvals(self, monkeypatch, n, workers):
+    # one worker per call, for the second half, once a half holds more than
+    # GIL_FREE_SIZE / n deltas: 25 x 8 = 200 does not, 100 x 8 and 25 x 24 do
+    @pytest.mark.parametrize(
+        "n, k, workers",
+        [(8, 50, 0), (8, 200, 1), (24, 50, 1), (32, 50, 1), (64, 50, 1), (128, 50, 1)],
+        ids=["8-0", "8-200-1", "24-1", "32-1", "64-1", "128-1"],
+    )
+    def test_equals_serial_eigvals(self, monkeypatch, n, k, workers):
         model = random_rank_one_model(np.random.default_rng(0), n)
-        deltas = np.linspace(-1.0, 1.0, 52)[1:-1]
+        deltas = np.linspace(-1.0, 1.0, k + 2)[1:-1]
         reference = np.array([
             np.linalg.eigvals(closed_loop_matrix(model, float(d))).real.max() for d in deltas
         ])
@@ -854,12 +873,9 @@ def test_audit_makes_no_thread_at_n8(monkeypatch):
 
     monkeypatch.setattr(criteria, "_cpus", lambda: 2)
     monkeypatch.setattr(threading, "Thread", forbidden)
-    result = run_analysis(AnalysisConfig())
-    assert result.all_sound
-    # 100 matrices of 8 x 8 per half would run without the GIL: only
-    # SPLIT_MIN_N keeps this serial
-    report = verify_interval(result.session.model, result.intervals["exact"], 200)
-    assert report.passed and report.n_checked == 200
+    # 26 matrices of 8 x 8 per half, the exact interval's probes included,
+    # would not run without the GIL
+    assert run_analysis(AnalysisConfig()).all_sound
 
 
 # the exact interval at each stability margin m, as zero exclusion on the line
