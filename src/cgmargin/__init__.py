@@ -31,14 +31,10 @@ from .criteria import (
 from .lti import (
     FrequencyLocus,
     StateSpace,
-    TransferFunction,
-    eigenvalues,
     freq_response,
     imaginary_zeros,
-    is_hurwitz,
-    ss_realize,
-    tf_from_zpk,
-    tf_of_ss,
+    ss_from_zpk,
+    zpk_of_ss,
 )
 from .mdelta import MDeltaModel, build_mdelta, closed_loop_uncertain, m_transfer, rank_one_factor
 from .pipeline import AnalysisConfig, AnalysisResult, build_session, run_analysis
@@ -56,7 +52,6 @@ __all__ = [
     "MDeltaModel",
     "StabilityInterval",
     "StateSpace",
-    "TransferFunction",
     "UncertainPlant",
     "VerificationReport",
     "augment_uncertain_plant",
@@ -66,11 +61,9 @@ __all__ = [
     "circle_bounds",
     "closed_loop_uncertain",
     "dimensionalize",
-    "eigenvalues",
     "exact_bounds",
     "freq_response",
     "imaginary_zeros",
-    "is_hurwitz",
     "load_default_model",
     "load_model_file",
     "m_transfer",
@@ -80,8 +73,7 @@ __all__ = [
     "run_analysis",
     "sample_locus",
     "small_gain_bounds",
-    "ss_realize",
-    "tf_from_zpk",
-    "tf_of_ss",
+    "ss_from_zpk",
     "verify_interval",
+    "zpk_of_ss",
 ]

@@ -8,7 +8,7 @@ capture a fore/aft c.g. shift of ``delta`` meters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -199,22 +199,6 @@ def inner_loop_stabilize(plant: StateSpace, Kq: float, Kalpha: float) -> StateSp
     A = plant.A - plant.B @ K @ plant.C
     C_theta = plant.C[:1, :]
     return StateSpace(A, plant.B, C_theta, np.zeros((1, 1)))
-
-
-def uncertain_derivatives(dd: DimensionalDerivatives, delta: float) -> DimensionalDerivatives:
-    """Shift the pitching-moment derivatives for a c.g. displacement delta.
-
-    Each M-family derivative moves by -Z(same subscript)*delta; the X and
-    Z families are unchanged.
-    """
-    return replace(
-        dd,
-        Mu=dd.Mu - dd.Zu * delta,
-        Mw=dd.Mw - dd.Zw * delta,
-        Mwdot=dd.Mwdot - dd.Zwdot * delta,
-        Mq=dd.Mq - dd.Zq * delta,
-        Meta=dd.Meta - dd.Zeta * delta,
-    )
 
 
 def perturbation_matrices(fc: FlightCondition, dd: DimensionalDerivatives):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, UnstableFixedPartError
 from .lti import (STACK_BYTES, FrequencyLocus, StateSpace, freq_response, freq_values,
-                  imaginary_zeros, is_hurwitz)
+                  imaginary_zeros)
 from .mdelta import MDeltaModel, closed_loop_matrix
 
 CRITERIA = ("exact", "small_gain", "circle", "positive_real", "popov")
@@ -113,7 +113,7 @@ def sample_locus(
         raise DimensionError("need 0 < wmin < wmax and n >= 2")
     if M.ninputs != 1 or M.noutputs != 1 or np.any(M.D != 0):
         raise DimensionError("M must be SISO and strictly proper")
-    if not is_hurwitz(M.A):
+    if not np.all(M.poles.real < 0.0):
         raise UnstableFixedPartError(
             "M(s) is not asymptotically stable; the graphical criteria "
             "presume a stable fixed part"
@@ -472,13 +472,14 @@ def exact_bounds(model: MDeltaModel, summary: FrequencyLocus | None = None) -> S
     each bound.  On a model built at a stability margin m (``build_mdelta``)
     H is H + m*I, so the interval keeps every eigenvalue left of Re s = -m.
     The x are ``model.M.real_crossings``, one solve per system.  The nominal
-    check stays here: a model need not come from ``build_mdelta``.
+    check stays here, on ``model.M.poles``: a model need not come from
+    ``build_mdelta``.
 
     ``summary`` is ignored: the interval is read off the realization of M,
     not off a sampled locus.  It stays for callers that pass it
     positionally.
     """
-    if _max_real_parts(model, np.zeros(1))[0] >= 0:
+    if not np.all(model.M.poles.real < 0.0):
         raise UnstableFixedPartError("nominal closed loop is not stable")
     crossings = model.M.real_crossings
     upper, up_cross = min(

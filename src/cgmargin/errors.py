@@ -9,10 +9,6 @@ class RepresentationError(CgMarginError):
     """A transfer function cannot be represented as requested."""
 
 
-class RealizationError(CgMarginError):
-    """A state-space realization cannot be constructed."""
-
-
 class DimensionError(CgMarginError):
     """Matrix dimensions are inconsistent for the requested operation."""
 

@@ -1,9 +1,9 @@
-"""Minimal continuous-time LTI algebra.
+"""Minimal continuous-time LTI algebra on one system type, ``StateSpace``.
 
-Transfer functions in zero/pole/gain form, state-space realizations,
-eigenvalues, zeros (all read off one primitive, ``_zero_dynamics``), and
-frequency response.  Everything here is real-coefficient, continuous-time,
-and immutable after construction.
+zero/pole/gain data enter as a state-space realization (``ss_from_zpk``)
+and leave through ``zpk_of_ss``; in between are zeros (all read off one
+primitive, ``_zero_dynamics``) and frequency response.  Everything here is
+real-coefficient, continuous-time, and immutable after construction.
 
 The frequency response of many points (``freq_values``, ``freq_response``)
 costs O(n^3) once per system and O(n^2) per point: the system is reduced
@@ -11,8 +11,9 @@ to a controller Hessenberg form, cached on it, and each point is one
 recurrence on that form (Hyman's method, backward stable; Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.6.1).
 ``StateSpace.evaluate`` stays one dense LU solve per point.  A system
-caches two facts on first use: that Hessenberg form
-(``controller_hessenberg``) and where its response is real (``real_crossings``).
+caches three facts on first use: its spectrum (``poles``), that Hessenberg
+form (``controller_hessenberg``) and where its response is real
+(``real_crossings``).
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    RealizationError,
-    RepresentationError,
-)
+from .errors import DimensionError, RepresentationError
 
 CONJUGATE_TOL = 1e-10
 
@@ -74,58 +71,6 @@ def _check_conjugate_closed(roots, what: str) -> None:
                 f"{what} {r} has no conjugate partner; real-coefficient "
                 "representation requires conjugate-closed root sets"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class TransferFunction:
-    """Rational SISO transfer function in zpk and coefficient form.
-
-    ``num``/``den`` are real coefficient arrays in descending degree,
-    derived from the zpk data.  The function is proper by construction.
-    """
-
-    zeros: tuple
-    poles: tuple
-    gain: float
-    num: np.ndarray = field(repr=False)
-    den: np.ndarray = field(repr=False)
-
-    def __call__(self, s: complex) -> complex:
-        """Evaluate from the zpk factors."""
-        val = complex(self.gain)
-        for z in self.zeros:
-            val *= s - z
-        for p in self.poles:
-            val /= s - p
-        return val
-
-    @property
-    def order(self) -> int:
-        return len(self.poles)
-
-
-def tf_from_zpk(zeros, poles, gain: float) -> TransferFunction:
-    """Build a proper real-coefficient transfer function from zpk data."""
-    if not np.isfinite(gain):
-        raise RepresentationError("gain must be finite")
-    if not np.isfinite(np.array([*zeros, *poles], dtype=complex)).all():
-        raise RepresentationError("zeros and poles must be finite")
-    _check_conjugate_closed(zeros, "zero")
-    _check_conjugate_closed(poles, "pole")
-    if len(zeros) > len(poles):
-        raise RepresentationError(
-            f"improper transfer function: {len(zeros)} zeros exceed "
-            f"{len(poles)} poles"
-        )
-    num = float(gain) * _real_poly(zeros)
-    den = _real_poly(poles)
-    return TransferFunction(
-        zeros=tuple(complex(z) for z in zeros),
-        poles=tuple(complex(p) for p in poles),
-        gain=float(gain),
-        num=num,
-        den=den,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +124,12 @@ class StateSpace:
         return self.C @ x + self.D
 
     @cached_property
+    def poles(self) -> np.ndarray:
+        """Eigenvalues of A sorted by (real, imag).  Computed on first use and kept."""
+        lam = np.linalg.eigvals(self.A)
+        return lam[np.lexsort((lam.imag, lam.real))]
+
+    @cached_property
     def controller_hessenberg(self):
         """(H, beta, h) with the first input-output response = h (sI - H)^-1 beta e1 + D.
 
@@ -225,33 +176,35 @@ class FrequencyLocus:
         object.__setattr__(self, "values", vals)
 
 
-def ss_realize(tf: TransferFunction) -> StateSpace:
-    """Controllable companion realization of a proper transfer function.
+def ss_from_zpk(zeros, poles, gain: float) -> StateSpace:
+    """Controllable companion realization of the proper real-coefficient
+    transfer function gain * prod(s - z) / prod(s - p).
 
-    Strictly proper input yields D = 0; a constant gain yields a
-    zero-state system.
+    Strictly proper input yields D = 0; a constant gain yields a zero-state
+    system.
     """
-    n = tf.order
-    if len(tf.zeros) > n:
-        raise RealizationError("cannot realize an improper transfer function")
-    if n == 0:
-        empty = np.zeros((0, 0))
-        return StateSpace(
-            empty, np.zeros((0, 1)), np.zeros((1, 0)), [[tf.gain]]
+    if not np.isfinite(gain):
+        raise RepresentationError("gain must be finite")
+    if not np.isfinite(np.array([*zeros, *poles], dtype=complex)).all():
+        raise RepresentationError("zeros and poles must be finite")
+    _check_conjugate_closed(zeros, "zero")
+    _check_conjugate_closed(poles, "pole")
+    n = len(poles)
+    if len(zeros) > n:
+        raise RepresentationError(
+            f"improper transfer function: {len(zeros)} zeros exceed {n} poles"
         )
-    den = tf.den / tf.den[0]
-    num = np.concatenate([np.zeros(n + 1 - len(tf.num)), tf.num / tf.den[0]])
-    a = den[1:]
-    b0 = num[0]
+    if n == 0:
+        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[float(gain)]])
+    # _real_poly is monic: the denominator needs no scaling, and num[0] is D
+    a = _real_poly(poles)[1:]
+    num = np.concatenate([np.zeros(n - len(zeros)), float(gain) * _real_poly(zeros)])
     A = np.zeros((n, n))
     A[0, :] = -a
-    if n > 1:
-        A[1:, :-1] = np.eye(n - 1)
+    A[1:, :-1] = np.eye(n - 1)
     B = np.zeros((n, 1))
     B[0, 0] = 1.0
-    C = (num[1:] - b0 * a).reshape(1, -1)
-    D = np.array([[b0]])
-    return StateSpace(A, B, C, D)
+    return StateSpace(A, B, (num[1:] - num[0] * a).reshape(1, -1), [[num[0]]])
 
 
 def _balance(A: np.ndarray):
@@ -396,30 +349,16 @@ def freq_response(sys: StateSpace, grid) -> FrequencyLocus:
     return FrequencyLocus(om, freq_values(sys, om), sys)
 
 
-def tf_of_ss(sys: StateSpace) -> TransferFunction:
-    """zpk form of a SISO state-space system: the zeros and gain of
-    ``_zero_dynamics`` over the eigenvalues of A."""
+def zpk_of_ss(sys: StateSpace):
+    """(zeros, poles, gain) of a SISO state-space system: the zeros and gain
+    of ``_zero_dynamics`` and the poles ``StateSpace.poles``."""
     if sys.ninputs != 1 or sys.noutputs != 1:
-        raise DimensionError("tf_of_ss requires a SISO system")
+        raise DimensionError("zpk_of_ss requires a SISO system")
+    d = float(sys.D[0, 0])
     if sys.nstates == 0:
-        return tf_from_zpk([], [], float(sys.D[0, 0]))
-    zeros, gain = _zero_dynamics(sys.A, sys.B[:, 0], sys.C[0], float(sys.D[0, 0]))
-    return tf_from_zpk(zeros, eigenvalues(sys.A), gain)
-
-
-def eigenvalues(A) -> np.ndarray:
-    """Full spectrum of a square real matrix, sorted by (real, imag)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"matrix must be square, got {A.shape}")
-    lam = np.linalg.eigvals(A)
-    order = np.lexsort((lam.imag, lam.real))
-    return lam[order]
-
-
-def is_hurwitz(A) -> bool:
-    """True iff every eigenvalue has negative real part."""
-    return bool(np.all(eigenvalues(A).real < 0.0))
+        return np.empty(0), sys.poles, d
+    zeros, gain = _zero_dynamics(sys.A, sys.B[:, 0], sys.C[0], d)
+    return zeros, sys.poles, gain
 
 
 def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):

@@ -107,21 +107,21 @@ def build_mdelta(plant: UncertainPlant, controller: StateSpace, margin: float = 
 
     For m != 0 it is built on H + m*I, so M is M(s - m) and every result read
     off it keeps the eigenvalues of H + delta*Qcal left of Re s = -m.  Raises
-    UnstableFixedPartError if the slowest nominal mode does not clear m.
+    UnstableFixedPartError if the slowest nominal mode, read off ``M.poles``
+    (kept on M for the criteria), does not clear m.
     """
     H, Qcal = closed_loop_uncertain(plant, controller)
     if margin != 0.0:
         H = H + margin * np.eye(H.shape[0])
-    slowest = np.linalg.eigvals(H).real.max()
+    sigma, v, w = rank_one_factor(Qcal)
+    M = m_transfer(H, sigma, v, w)
+    slowest = M.poles.real.max()
     if not slowest < 0.0:
         raise UnstableFixedPartError(
             f"nominal closed loop is unstable at stability margin {margin:g}: its slowest "
             f"mode, at Re s = {slowest - margin:.5g}, does not clear it"
         )
-    sigma, v, w = rank_one_factor(Qcal)
-    return MDeltaModel(
-        H=H, Qcal=Qcal, sigma=sigma, v=v, w=w, M=m_transfer(H, sigma, v, w), margin=margin
-    )
+    return MDeltaModel(H=H, Qcal=Qcal, sigma=sigma, v=v, w=w, M=M, margin=margin)
 
 
 def closed_loop_matrix(model: MDeltaModel, delta: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import aircraft, criteria, mdelta
 from .criteria import CRITERIA, StabilityInterval, VerificationReport
-from .lti import FrequencyLocus, StateSpace, TransferFunction, ss_realize, tf_from_zpk, tf_of_ss
+from .lti import FrequencyLocus, StateSpace, ss_from_zpk, zpk_of_ss
 
 # robust H-infinity loopshaping controller for the elevator-to-attitude
 # channel; complex pole pair from s^2 + 7.22 s + 13.6
@@ -67,14 +67,8 @@ class AnalysisSession:
     open_plant: aircraft.UncertainPlant
     augmented: aircraft.UncertainPlant
     controller: StateSpace
-    controller_tf: TransferFunction
     model: mdelta.MDeltaModel
     summary: FrequencyLocus   # samples of M(jw), carrying M as system
-
-    @property
-    def nominal_tf(self) -> TransferFunction:
-        """Elevator-to-attitude transfer function of the augmented aircraft."""
-        return tf_of_ss(self.augmented.nominal)
 
 
 @dataclass
@@ -93,10 +87,9 @@ def build_session(config: AnalysisConfig) -> AnalysisSession:
     fc, dl = aircraft.load_model_file(path)
     open_plant = aircraft.build_uncertain_plant(fc, dl)
     augmented = aircraft.augment_uncertain_plant(open_plant, config.kq, config.kalpha)
-    controller_tf = tf_from_zpk(
+    controller = ss_from_zpk(
         config.controller_zeros, config.controller_poles, config.controller_gain
     )
-    controller = ss_realize(controller_tf)
     model = mdelta.build_mdelta(augmented, controller, config.stability_margin)
     summary = criteria.sample_locus(
         model.M, wmin=config.wmin, wmax=config.wmax, n=config.npoints
@@ -107,7 +100,6 @@ def build_session(config: AnalysisConfig) -> AnalysisSession:
         open_plant=open_plant,
         augmented=augmented,
         controller=controller,
-        controller_tf=controller_tf,
         model=model,
         summary=summary,
     )
@@ -213,14 +205,22 @@ def _csv_value(v) -> str:
     return str(v)
 
 
+def _report_rows(text: str) -> list:
+    """(line number, line, fields) of each nonblank line of a report."""
+    return [(i, ln, ln.split(",")) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
 def parse_report_csv(text: str) -> dict:
     """Read back the intervals written by format_report_csv from their bounds
     alone (a side is unbounded exactly when its bound is -inf or inf).  A row
-    without two numeric bounds raises ValueError naming its line."""
+    that names no criterion, repeats one, or lacks two numeric bounds, raises
+    ValueError naming its line."""
     intervals: dict[str, StabilityInterval] = {}
-    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    for lineno, line in rows[1:]:
-        fields = line.split(",")
+    for lineno, line, fields in _report_rows(text)[1:]:
+        if fields[0] not in CRITERIA:
+            raise ValueError(f"line {lineno} names no criterion of {', '.join(CRITERIA)}: {line!r}")
+        if fields[0] in intervals:
+            raise ValueError(f"line {lineno} repeats criterion {fields[0]}: {line!r}")
         try:
             lower, upper = float(fields[1]), float(fields[2])
         except (IndexError, ValueError):
@@ -234,11 +234,27 @@ def parse_report_csv(text: str) -> dict:
 
 
 def parse_report_margin(text: str) -> float | None:
-    """The stability margin of a format_report_csv report; None if it records none."""
-    rows = [ln.split(",") for ln in text.splitlines() if ln.strip()]
-    if len(rows) < 2 or "stability_margin" not in rows[0]:
+    """The stability margin that every row of a format_report_csv report
+    records; None if it has no rows or no stability_margin column.  A row
+    without a numeric margin, or with another than the first row's, raises
+    ValueError naming its line."""
+    rows = _report_rows(text)
+    if len(rows) < 2 or "stability_margin" not in rows[0][2]:
         return None
-    return float(rows[1][rows[0].index("stability_margin")])
+    col, margin = rows[0][2].index("stability_margin"), None
+    for lineno, line, fields in rows[1:]:
+        try:
+            m = float(fields[col])
+        except (IndexError, ValueError):
+            m = np.nan
+        if np.isnan(m):
+            raise ValueError(f"line {lineno} has no numeric stability margin: {line!r}")
+        if margin is None:
+            margin = m
+        elif m != margin:
+            raise ValueError(f"line {lineno} records stability margin {m!r}, "
+                             f"but line {rows[1][0]} records {margin!r}")
+    return margin
 
 
 def format_matrix(name: str, mat: np.ndarray) -> str:
@@ -249,9 +265,9 @@ def format_matrix(name: str, mat: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def format_zpk(tf: TransferFunction) -> str:
+def format_zpk(zeros, poles, gain: float) -> str:
     def roots(rs):
-        if not rs:
+        if not len(rs):
             return "(none)"
         return ", ".join(
             f"{r.real:.6g}" if abs(r.imag) < 1e-12 else f"{r.real:.6g}{r.imag:+.6g}j"
@@ -259,9 +275,9 @@ def format_zpk(tf: TransferFunction) -> str:
         )
 
     return (
-        f"  gain : {tf.gain:.6g}\n"
-        f"  zeros: {roots(tf.zeros)}\n"
-        f"  poles: {roots(tf.poles)}"
+        f"  gain : {gain:.6g}\n"
+        f"  zeros: {roots(zeros)}\n"
+        f"  poles: {roots(poles)}"
     )
 
 
@@ -283,7 +299,7 @@ def format_model_dump(session: AnalysisSession) -> str:
         format_matrix("v", session.model.v.reshape(1, -1)),
         format_matrix("w", session.model.w.reshape(1, -1)),
         "eta_to_theta zpk:",
-        format_zpk(session.nominal_tf),
+        format_zpk(*zpk_of_ss(session.augmented.nominal)),
         "",
     ]
     return "\n\n".join(parts)

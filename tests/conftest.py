@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,9 +46,26 @@ def dense_response(M, omegas):
     return out
 
 
-def eval_coeffs(tf, s: complex) -> complex:
-    """A TransferFunction evaluated from its coefficient form num/den."""
-    return complex(np.polyval(tf.num, s) / np.polyval(tf.den, s))
+def eval_zpk(zeros, poles, gain, s: complex) -> complex:
+    """gain * prod(s - z) / prod(s - p), evaluated from the factors."""
+    return complex(gain * np.prod(s - np.asarray(zeros)) / np.prod(s - np.asarray(poles)))
+
+
+def uncertain_derivatives(dd, delta: float):
+    """Shift the pitching-moment derivatives for a c.g. displacement delta.
+
+    Each M-family derivative moves by -Z(same subscript)*delta; the X and
+    Z families are unchanged.  The reference that the rank-1 perturbation
+    matrices are checked against.
+    """
+    return dataclasses.replace(
+        dd,
+        Mu=dd.Mu - dd.Zu * delta,
+        Mw=dd.Mw - dd.Zw * delta,
+        Mwdot=dd.Mwdot - dd.Zwdot * delta,
+        Mq=dd.Mq - dd.Zq * delta,
+        Meta=dd.Meta - dd.Zeta * delta,
+    )
 
 
 def golden_min(f, a: float, b: float, rel_tol: float = 1e-9, max_iter: int = 200):

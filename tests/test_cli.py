@@ -6,6 +6,7 @@ from cgmargin import criteria, pipeline, svgplot
 from cgmargin.aircraft import default_model_path, load_default_model, load_model_file
 from cgmargin.cli import FIGURE_CRITERIA, FIGURES, main
 from cgmargin.criteria import CRITERIA
+from cgmargin.lti import zpk_of_ss
 from cgmargin.pipeline import parse_report_csv
 
 REPORT_HEADER = "criterion,lower,upper,lower_unbounded,upper_unbounded,stability_margin,witnesses\n"
@@ -171,8 +172,8 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(pipeline, "build_session", recorded)
         run_ok(runner, ["model", *args, "--controller-gain", "1", "--out", str(tmp_path)])
         [session] = sessions
-        assert session.controller_tf.zeros == zeros
-        assert session.controller_tf.poles == poles
+        got_zeros, got_poles, gain = zpk_of_ss(session.controller)
+        assert (tuple(got_zeros), tuple(got_poles), gain) == (zeros, poles, 1.0)
 
 
 class TestPlotCommand:
@@ -351,6 +352,22 @@ class TestVerifyCommand:
             "'exact,-16.39,x,0,0,0.0,'\n"
         )
 
+    @pytest.mark.parametrize("rows, error", [
+        # criterion names are lower case
+        ("Popov,-100,100,0,0,0.0,\n",
+         f"line 2 names no criterion of {', '.join(CRITERIA)}: 'Popov,-100,100,0,0,0.0,'"),
+        # the inflated first row would be replaced by the second
+        ("exact,-16.39,1.0,0,0,0.0,\nexact,-16.39,0.5123,0,0,0.0,\n",
+         "line 3 repeats criterion exact: 'exact,-16.39,0.5123,0,0,0.0,'"),
+    ], ids=["no_criterion", "repeated_criterion"])
+    def test_row_left_unaudited_is_one_error_line(self, runner, tmp_path, rows, error):
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + rows)
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == f"Error: {csv_path}: {error}\n"
+
 
 class TestStabilityMargin:
     def test_readme_example_and_its_audit_pass(self, runner, tmp_path):
@@ -395,6 +412,20 @@ class TestStabilityMargin:
         assert result.output == (
             f"Error: {csv_path} records stability margin none, but --stability-margin is 0.0\n"
         )
+
+    @pytest.mark.parametrize("rows, error", [
+        ("exact,-16.39,0.5123\n",
+         "line 2 has no numeric stability margin: 'exact,-16.39,0.5123'"),
+        ("exact,-16.39,0.5123,0,0,0.0,\npopov,-9,0.5,0,0,0.01,\n",
+         "line 3 records stability margin 0.01, but line 2 records 0.0"),
+    ], ids=["first_row_without_margin", "later_row_at_another_margin"])
+    def test_every_row_margin_checked(self, runner, tmp_path, rows, error):
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + rows)
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == f"Error: {csv_path}: {error}\n"
 
     def test_margin_past_slowest_mode_is_one_error_line(self, runner, tmp_path):
         result = runner.invoke(

@@ -26,8 +26,7 @@ from cgmargin.lti import (
     StateSpace,
     freq_values,
     imaginary_zeros,
-    ss_realize,
-    tf_from_zpk,
+    ss_from_zpk,
 )
 from cgmargin.mdelta import closed_loop_matrix
 from cgmargin.pipeline import AnalysisConfig, build_session, run_analysis
@@ -85,7 +84,7 @@ def _hard_case(name):
         # M = (3s + 1)/(s + 1)^3 has M'(0) = 0, so M(s) - M(-s) has a triple
         # zero at s = 0 that the eigenvalue solve leaves off the axis; the
         # lower bound -1/M(0) must still be found
-        M = ss_realize(tf_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0))
+        M = ss_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0)
         return rank_one_model(M.A, -M.B @ M.C)
     return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
 
@@ -222,7 +221,7 @@ def _recorded_grids(monkeypatch):
 class TestCertificate:
     # M = 1/(s + 1): |M(jw) - x_c|^2 = ((1 - x_c)^2 + x_c^2 w^2) / (1 + w^2) and
     # Re[(1 + jqw) M(jw)] = (1 + q w^2) / (1 + w^2)
-    FIRST_ORDER = ss_realize(tf_from_zpk([], [-1.0], 1.0))
+    FIRST_ORDER = ss_from_zpk([], [-1.0], 1.0)
 
     def test_modulus_crossings(self):
         M = self.FIRST_ORDER
@@ -508,7 +507,7 @@ class TestPositiveReal:
     def test_unbounded_side_warns(self):
         # locus of 1/(s+1) stays in the right half plane: no negative
         # intercept, upper bound reported unbounded
-        M = ss_realize(tf_from_zpk([], [-1.0], 1.0))
+        M = ss_from_zpk([], [-1.0], 1.0)
         s = sample_locus(M, wmin=1e-3, wmax=1e3, n=400)
         with pytest.warns(UserWarning, match="unbounded"):
             iv = positive_real_bounds(s)
@@ -600,9 +599,8 @@ class TestExact:
         assert tight.upper < plain.upper
 
     def test_unstable_nominal_rejected(self, session):
-        bad = dataclasses.replace(
-            session.model, H=np.eye(8), M=session.model.M
-        )
+        # built directly, not by build_mdelta; M is realized on the unstable H
+        bad = rank_one_model(np.eye(8), session.model.Qcal)
         with pytest.raises(UnstableFixedPartError):
             exact_bounds(bad, session.summary)
 
@@ -798,7 +796,7 @@ class TestVerification:
             verify_interval(session.model, iv, -1)
 
     def test_unbounded_interval_rejected(self, session):
-        M = ss_realize(tf_from_zpk([], [-1.0], 1.0))
+        M = ss_from_zpk([], [-1.0], 1.0)
         s = sample_locus(M, wmin=1e-3, wmax=1e3, n=400)
         with pytest.warns(UserWarning):
             iv = positive_real_bounds(s)
@@ -876,6 +874,36 @@ def test_audit_makes_no_thread_at_n8(monkeypatch):
     # 26 matrices of 8 x 8 per half, the exact interval's probes included,
     # would not run without the GIL
     assert run_analysis(AnalysisConfig()).all_sound
+
+
+def _count_solves_of(H, monkeypatch):
+    """A list that gains one entry per np.linalg.eigvals call whose argument,
+    a matrix or a stack of them, holds H."""
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counted(a):
+        stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+        if any(m.shape == H.shape and np.array_equal(m, H) for m in stack):
+            calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+class TestSpectrumSolvedOnce:
+    def test_run_analysis_solves_h_once(self, session, monkeypatch):
+        # build_mdelta solves it; sample_locus and exact_bounds read M.poles
+        calls = _count_solves_of(session.model.H, monkeypatch)
+        assert run_analysis(AnalysisConfig()).all_sound
+        assert calls == [session.model.H.shape]
+
+    def test_exact_bounds_after_sample_locus_solves_none(self, monkeypatch):
+        model = random_rank_one_model(np.random.default_rng(5), n=6)
+        sample_locus(model.M, n=50)
+        calls = _count_solves_of(model.H, monkeypatch)
+        exact_bounds(model)
+        assert calls == []
 
 
 # the exact interval at each stability margin m, as zero exclusion on the line

@@ -5,18 +5,15 @@ from cgmargin.errors import DimensionError, RepresentationError
 from cgmargin.lti import (
     STACK_BYTES,
     StateSpace,
-    eigenvalues,
     freq_response,
     freq_values,
     imaginary_zeros,
-    is_hurwitz,
-    ss_realize,
-    tf_from_zpk,
-    tf_of_ss,
+    ss_from_zpk,
+    zpk_of_ss,
 )
 from cgmargin.pipeline import AnalysisConfig, format_model_dump, run_analysis
 
-from conftest import dense_response, eval_coeffs, random_rank_one_model
+from conftest import dense_response, eval_zpk, random_rank_one_model
 
 G_ZEROS = (-0.0164, -0.635)
 G_POLES_PAIR = np.roots([1, 0.0136, 0.000327])
@@ -33,104 +30,117 @@ FT_ZEROS = (2j, -2j, 1.0, -3.0)
 FT_POLES = (-1.0, -2.0, -0.5 + 1j, -0.5 - 1j)
 
 
-@pytest.fixture(scope="module")
-def g_tf():
-    return tf_from_zpk(G_ZEROS, G_POLES, G_GAIN)
+G_ZPK = (G_ZEROS, G_POLES, G_GAIN)
+K_ZPK = (K_ZEROS, K_POLES, K_GAIN)
 
 
 @pytest.fixture(scope="module")
-def k_tf():
-    return tf_from_zpk(K_ZEROS, K_POLES, K_GAIN)
+def g_ss():
+    return ss_from_zpk(*G_ZPK)
+
+
+@pytest.fixture(scope="module")
+def k_ss():
+    return ss_from_zpk(*K_ZPK)
 
 
 class TestTfFromZpk:
-    def test_aircraft_model_coefficients(self, g_tf):
+    """zpk input to ss_from_zpk: checks, and the polynomial coefficients that
+    the companion realization carries (A's first row is minus the monic
+    denominator's, C the numerator's for strictly proper input)."""
+
+    def test_aircraft_model_coefficients(self, g_ss):
         num = G_GAIN * np.poly(G_ZEROS)
         den = np.poly(G_POLES).real
-        assert np.allclose(g_tf.num, num, rtol=1e-12)
-        assert np.allclose(g_tf.den, den, rtol=1e-12)
+        assert np.allclose(-g_ss.A[0], den[1:], rtol=1e-12)
+        assert np.allclose(g_ss.C[0], np.concatenate([[0.0], num]), rtol=1e-12)
 
     def test_constant_one(self):
-        tf = tf_from_zpk([], [], 1.0)
-        assert tf(3.7 + 2j) == 1.0
-        assert tf.num.tolist() == [1.0] and tf.den.tolist() == [1.0]
+        ss = ss_from_zpk([], [], 1.0)
+        assert ss.nstates == 0 and ss.D.tolist() == [[1.0]]
+        assert ss.evaluate(3.7 + 2j)[0, 0] == 1.0
 
-    def test_controller(self, k_tf):
-        assert len(k_tf.poles) == 4
+    def test_controller(self, k_ss):
+        assert k_ss.nstates == 4
         assert np.allclose(
-            k_tf.den, np.polymul(np.polymul([1, 0.356], [1, 0.0175]), [1, 7.22, 13.6])
+            -k_ss.A[0], np.polymul(np.polymul([1, 0.356], [1, 0.0175]), [1, 7.22, 13.6])[1:]
         )
 
-    def test_zpk_and_coefficient_forms_agree(self, g_tf, k_tf):
+    def test_zpk_and_coefficient_forms_agree(self, g_ss, k_ss):
         rng = np.random.default_rng(7)
-        for tf in (g_tf, k_tf):
+        for ss, zpk in ((g_ss, G_ZPK), (k_ss, K_ZPK)):
             for _ in range(20):
                 s = complex(rng.normal(), rng.normal())
-                a, b = tf(s), eval_coeffs(tf, s)
+                a, b = eval_zpk(*zpk, s), ss.evaluate(s)[0, 0]
                 assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
 
     def test_non_conjugate_closed_rejected(self):
-        with pytest.raises(RepresentationError):
-            tf_from_zpk([], [-1, -2 + 1j], 1.0)
+        with pytest.raises(RepresentationError, match="no conjugate partner"):
+            ss_from_zpk([], [-1, -2 + 1j], 1.0)
 
     def test_improper_rejected(self):
-        with pytest.raises(RepresentationError):
-            tf_from_zpk([-1, -2], [-3], 1.0)
+        with pytest.raises(RepresentationError, match="2 zeros exceed 1 poles"):
+            ss_from_zpk([-1, -2], [-3], 1.0)
+
+    @pytest.mark.parametrize("zpk, message", [
+        (([], [np.inf], 1.0), "zeros and poles must be finite"),
+        (([np.nan], [-1.0], 1.0), "zeros and poles must be finite"),
+        (([], [-1.0], np.nan), "gain must be finite"),
+    ], ids=["pole", "zero", "gain"])
+    def test_nonfinite_rejected(self, zpk, message):
+        with pytest.raises(RepresentationError, match=message):
+            ss_from_zpk(*zpk)
 
 
 class TestSsRealize:
     def test_first_order_lag(self):
-        ss = ss_realize(tf_from_zpk([], [-1.0], 1.0))
+        ss = ss_from_zpk([], [-1.0], 1.0)
         assert ss.A.tolist() == [[-1.0]]
         assert ss.B.tolist() == [[1.0]]
         assert ss.C.tolist() == [[1.0]]
         assert ss.D.tolist() == [[0.0]]
 
-    def test_controller_realization(self, k_tf):
-        ss = ss_realize(k_tf)
-        assert ss.nstates == 4
-        assert np.all(ss.D == 0)
-        got = np.sort_complex(np.linalg.eigvals(ss.A))
-        want = np.sort_complex(np.roots(k_tf.den))
+    def test_controller_realization(self, k_ss):
+        assert k_ss.nstates == 4
+        assert np.all(k_ss.D == 0)
+        got = np.sort_complex(np.linalg.eigvals(k_ss.A))
+        want = np.sort_complex(np.array(K_POLES))
         assert np.allclose(got, want, atol=1e-8)
 
     def test_static_gain(self):
-        ss = ss_realize(tf_from_zpk([], [], 7.0))
+        ss = ss_from_zpk([], [], 7.0)
         assert ss.nstates == 0
         assert ss.D.tolist() == [[7.0]]
         assert ss.evaluate(1j)[0, 0] == 7.0
 
-    def test_realization_fidelity(self, g_tf, k_tf):
-        for tf in (g_tf, k_tf):
-            ss = ss_realize(tf)
+    def test_realization_fidelity(self, g_ss, k_ss):
+        for ss, zpk in ((g_ss, G_ZPK), (k_ss, K_ZPK)):
             for w in np.logspace(-3, 2, 50):
-                direct = tf(1j * w)
+                direct = eval_zpk(*zpk, 1j * w)
                 real = ss.evaluate(1j * w)[0, 0]
                 assert abs(real - direct) <= 1e-8 * abs(direct)
 
 
 class TestFreqResponse:
     def test_first_order_lag_analytic(self):
-        lag = ss_realize(tf_from_zpk([], [-1.0], 1.0))
+        lag = ss_from_zpk([], [-1.0], 1.0)
         locus = freq_response(lag, [1.0])
         assert abs(locus.values[0] - (0.5 - 0.5j)) < 1e-12
 
-    def test_strictly_proper_rolloff(self, g_tf):
-        g = ss_realize(g_tf)
-        locus = freq_response(g, [1e6])
+    def test_strictly_proper_rolloff(self, g_ss):
+        locus = freq_response(g_ss, [1e6])
         assert abs(locus.values[0]) < 1e-4
 
-    def test_matches_coefficient_evaluation(self, g_tf):
-        g = ss_realize(g_tf)
-        locus = freq_response(g, [0.1])
-        want = eval_coeffs(g_tf, 0.1j)
+    def test_matches_coefficient_evaluation(self, g_ss):
+        locus = freq_response(g_ss, [0.1])
+        num, den = G_GAIN * np.poly(G_ZEROS), np.poly(G_POLES).real
+        want = np.polyval(num, 0.1j) / np.polyval(den, 0.1j)
         assert abs(locus.values[0] - want) <= 1e-8 * abs(want)
 
-    def test_conjugate_symmetry(self, g_tf):
-        g = ss_realize(g_tf)
+    def test_conjugate_symmetry(self, g_ss):
         for w in (0.03, 0.7, 12.0):
-            plus = g.evaluate(1j * w)[0, 0]
-            minus = g.evaluate(-1j * w)[0, 0]
+            plus = g_ss.evaluate(1j * w)[0, 0]
+            minus = g_ss.evaluate(-1j * w)[0, 0]
             assert abs(minus - np.conj(plus)) < 1e-12
 
     @pytest.mark.parametrize("grid", [
@@ -195,11 +205,11 @@ class TestFreqResponse:
             assert np.abs(freq_values(full, grid) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_feedthrough(self):
-        tf = tf_from_zpk([-2.0, -3.0, -0.1 + 1j, -0.1 - 1j], [-1.0, -4.0, -0.5 + 2j, -0.5 - 2j], 2.5)
-        ss = ss_realize(tf)
+        zpk = ([-2.0, -3.0, -0.1 + 1j, -0.1 - 1j], [-1.0, -4.0, -0.5 + 2j, -0.5 - 2j], 2.5)
+        ss = ss_from_zpk(*zpk)
         assert ss.D[0, 0] == 2.5
         grid = np.logspace(-3, 3, 301)
-        want = np.array([tf(1j * w) for w in grid])
+        want = np.array([eval_zpk(*zpk, 1j * w) for w in grid])
         assert np.abs(freq_values(ss, grid) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_state_system(self):
@@ -210,20 +220,26 @@ class TestFreqResponse:
 
 
 class TestEigen:
+    """StateSpace.poles: the spectrum of A, sorted by (real, imag), solved once."""
+
     def test_diagonal(self):
-        lam = eigenvalues(np.diag([-1.0, -2.0]))
-        assert np.allclose(lam, [-2.0, -1.0])
-        assert is_hurwitz(np.diag([-1.0, -2.0]))
+        sys = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        assert sys.poles.tolist() == [-2.0, -1.0]
+        assert sys.poles is sys.poles
+
+    def test_sorted_by_real_then_imag(self):
+        sys = ss_from_zpk([], [-1.0 + 2j, -1.0 - 2j, -3.0, 0.5], 1.0)
+        assert np.allclose(sys.poles, [-3.0, -1.0 - 2j, -1.0 + 2j, 0.5], atol=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            eigenvalues(np.zeros((2, 3)))
+            StateSpace(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 3)), [[0.0]])
 
 
 class TestImaginaryZeros:
     @staticmethod
     def zeros_of(zeros, poles):
-        ss = ss_realize(tf_from_zpk(zeros, poles, 2.0))
+        ss = ss_from_zpk(zeros, poles, 2.0)
         return imaginary_zeros(ss.A, ss.B, ss.C)
 
     def test_pair_and_origin(self):
@@ -248,7 +264,7 @@ class TestImaginaryZeros:
     def test_feedthrough(self, gain):
         # biproper, so d = gain; the zeros at +-2j, 1 and -3 come back from
         # the eigenvalues of A - b c / d, the pair on the axis only
-        ss = ss_realize(tf_from_zpk(FT_ZEROS, FT_POLES, gain))
+        ss = ss_from_zpk(FT_ZEROS, FT_POLES, gain)
         assert ss.D[0, 0] == pytest.approx(gain)
         w = imaginary_zeros(ss.A, ss.B, ss.C, ss.D[0, 0])
         assert w == pytest.approx([2.0], rel=1e-12)
@@ -259,45 +275,50 @@ class TestImaginaryZeros:
 
 
 class TestTfOfSs:
-    def test_round_trip(self, g_tf):
-        back = tf_of_ss(ss_realize(g_tf))
-        assert np.isclose(back.gain, g_tf.gain, rtol=1e-8)
-        assert np.allclose(
-            np.sort_complex(np.array(back.zeros)),
-            np.sort_complex(np.array(g_tf.zeros)),
-            atol=1e-8,
-        )
+    """zpk_of_ss: the (zeros, poles, gain) of a realization."""
+
+    def test_round_trip(self, g_ss):
+        zeros, poles, gain = zpk_of_ss(g_ss)
+        assert np.isclose(gain, G_GAIN, rtol=1e-8)
+        assert np.allclose(np.sort_complex(zeros), np.sort_complex(G_ZEROS), atol=1e-8)
+        assert poles is g_ss.poles
 
     def test_exact_on_bundled_m(self, session):
         # zpk read off the realization, against one LU solve per point
         M = session.model.M
-        tf = tf_of_ss(M)
+        zpk = zpk_of_ss(M)
         s = 1j * np.logspace(-4, 4, 81)
         per_point = np.array([M.evaluate(sk)[0, 0] for sk in s])
-        err = np.abs(np.array([tf(sk) for sk in s]) - per_point)
+        err = np.abs(np.array([eval_zpk(*zpk, sk) for sk in s]) - per_point)
         assert err.max() <= 1e-10 * np.abs(per_point).max()
 
     def test_augmented_nominal_gain_is_first_markov_parameter(self, session):
         sys = session.augmented.nominal
-        tf = tf_of_ss(sys)
-        assert len(tf.zeros) == 2 and len(tf.poles) == 4
+        zeros, poles, gain = zpk_of_ss(sys)
+        assert len(zeros) == 2 and len(poles) == 4
         cab = (sys.C @ sys.A @ sys.B)[0, 0]
-        assert abs(tf.gain - cab) <= 1e-14 * abs(cab)
+        assert abs(gain - cab) <= 1e-14 * abs(cab)
 
     @pytest.mark.parametrize("gain", [2.0, 1e-9])
     def test_biproper(self, gain):
-        back = tf_of_ss(ss_realize(tf_from_zpk(FT_ZEROS, FT_POLES, gain)))
-        assert back.gain == pytest.approx(gain, rel=1e-12)
-        assert np.allclose(np.sort_complex(back.zeros), np.sort_complex(FT_ZEROS), atol=1e-8)
+        zeros, _, back = zpk_of_ss(ss_from_zpk(FT_ZEROS, FT_POLES, gain))
+        assert back == pytest.approx(gain, rel=1e-12)
+        assert np.allclose(np.sort_complex(zeros), np.sort_complex(FT_ZEROS), atol=1e-8)
 
     def test_constant(self):
-        tf = tf_of_ss(StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[3.0]]))
-        assert tf.gain == 3.0 and tf.zeros == () and tf.poles == ()
+        zeros, poles, gain = zpk_of_ss(
+            StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[3.0]])
+        )
+        assert gain == 3.0 and zeros.size == 0 and poles.size == 0
 
     def test_identically_zero(self):
-        tf = tf_of_ss(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]))
-        assert tf.gain == 0.0 and tf.zeros == ()
-        assert tf(1j) == 0.0
+        zpk = zpk_of_ss(StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]]))
+        assert zpk[2] == 0.0 and zpk[0].size == 0
+        assert eval_zpk(*zpk, 1j) == 0.0
+
+    def test_mimo_rejected(self):
+        with pytest.raises(DimensionError):
+            zpk_of_ss(StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))))
 
 
 def test_analysis_makes_no_scalar_response_call(monkeypatch):

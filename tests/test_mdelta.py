@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from cgmargin.errors import DimensionError, UnstableFixedPartError, UnsupportedRankError
-from cgmargin.lti import StateSpace, is_hurwitz, ss_realize, tf_from_zpk, tf_of_ss
+from cgmargin.lti import StateSpace, ss_from_zpk, zpk_of_ss
 from cgmargin.mdelta import (
     build_mdelta,
     closed_loop_matrix,
     closed_loop_uncertain,
     m_transfer,
     rank_one_factor,
+)
+from cgmargin.pipeline import (
+    DEFAULT_CONTROLLER_GAIN,
+    DEFAULT_CONTROLLER_POLES,
+    DEFAULT_CONTROLLER_ZEROS,
 )
 
 
@@ -27,14 +32,14 @@ class TestClosedLoopUncertain:
         assert np.all(Qcal[n_p:, :] == 0)
 
     def test_nominal_loop_stable(self, session):
-        assert is_hurwitz(session.model.H)
+        assert np.all(session.model.M.poles.real < 0.0)
 
     def test_matches_transfer_function_feedback(self, session):
         """Closed-loop poles equal the roots of den_G*den_K + num_G*num_K."""
-        g = session.nominal_tf
-        k = session.controller_tf
-        num = np.polymul(g.num, k.num)
-        den = np.polymul(g.den, k.den)
+        g_zeros, g_poles, g_gain = zpk_of_ss(session.augmented.nominal)
+        k_zeros, k_poles = DEFAULT_CONTROLLER_ZEROS, DEFAULT_CONTROLLER_POLES
+        num = g_gain * DEFAULT_CONTROLLER_GAIN * np.poly([*g_zeros, *k_zeros]).real
+        den = np.poly([*g_poles, *k_poles]).real
         char = den + np.concatenate([np.zeros(len(den) - len(num)), num])
         got = np.sort_complex(np.linalg.eigvals(session.model.H))
         want = np.sort_complex(np.roots(char))
@@ -124,9 +129,9 @@ class TestRootLocusEquivalence:
     def test_characteristic_polynomial_route(self, session):
         """Perturbed eigenvalues are the roots of den_M + delta*num_M."""
         m = session.model
-        mtf = tf_of_ss(m.M)
+        zeros, _, gain = zpk_of_ss(m.M)
         den = np.poly(m.H).real
-        num = mtf.gain * np.poly(mtf.zeros).real
+        num = gain * np.poly(zeros).real
         pad = np.concatenate([np.zeros(len(den) - len(num)), num])
         for delta in (-10.0, -1.0, 0.45):
             roots = np.sort_complex(np.roots(den + delta * pad))
@@ -151,6 +156,6 @@ class TestBuildMDelta:
             Q_A=np.array([[1.0]]),
             Q_B=np.zeros((1, 1)),
         )
-        controller = ss_realize(tf_from_zpk([], [], 0.0))
+        controller = ss_from_zpk([], [], 0.0)
         with pytest.raises(UnstableFixedPartError):
             build_mdelta(plant, controller)
