@@ -125,9 +125,11 @@ class StateSpace:
 
     @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A sorted by (real, imag).  Computed on first use and kept."""
+        """Eigenvalues of A sorted by (real, imag).  Computed on first use, kept read-only."""
         lam = np.linalg.eigvals(self.A)
-        return lam[np.lexsort((lam.imag, lam.real))]
+        lam = lam[np.lexsort((lam.imag, lam.real))]
+        lam.flags.writeable = False
+        return lam
 
     @cached_property
     def controller_hessenberg(self):

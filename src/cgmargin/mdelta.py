@@ -37,6 +37,10 @@ class MDeltaModel:
     M: StateSpace
     margin: float = 0.0   # m of a model built on H + m*I (build_mdelta)
 
+    def __post_init__(self):
+        if not (self.M.A is self.H or np.array_equal(self.M.A, self.H)):
+            raise DimensionError("M must be realized on H: M.A differs from H")
+
 
 def closed_loop_uncertain(plant: UncertainPlant, controller: StateSpace):
     """Uncertain closed loop of plant and controller under unity feedback.

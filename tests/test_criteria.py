@@ -599,6 +599,9 @@ class TestExact:
         assert tight.upper < plain.upper
 
     def test_unstable_nominal_rejected(self, session):
+        # an unstable H beside the stable M: the model itself is refused
+        with pytest.raises(DimensionError, match="realized on H"):
+            dataclasses.replace(session.model, H=np.eye(8), M=session.model.M)
         # built directly, not by build_mdelta; M is realized on the unstable H
         bad = rank_one_model(np.eye(8), session.model.Qcal)
         with pytest.raises(UnstableFixedPartError):

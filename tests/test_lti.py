@@ -227,6 +227,14 @@ class TestEigen:
         assert sys.poles.tolist() == [-2.0, -1.0]
         assert sys.poles is sys.poles
 
+    def test_read_only(self):
+        sys = StateSpace(np.diag([-1.0, -2.0]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        with pytest.raises(ValueError):
+            sys.poles.sort()
+        with pytest.raises(ValueError):
+            zpk_of_ss(sys)[1][0] = 1.0
+        assert sys.poles.tolist() == [-2.0, -1.0]
+
     def test_sorted_by_real_then_imag(self):
         sys = ss_from_zpk([], [-1.0 + 2j, -1.0 - 2j, -3.0, 0.5], 1.0)
         assert np.allclose(sys.poles, [-3.0, -1.0 - 2j, -1.0 + 2j, 0.5], atol=1e-12)

@@ -34,6 +34,14 @@ class TestClosedLoopUncertain:
     def test_nominal_loop_stable(self, session):
         assert np.all(session.model.M.poles.real < 0.0)
 
+    def test_model_m_realized_on_h(self, session):
+        import dataclasses
+
+        model = session.model
+        assert dataclasses.replace(model, H=model.H.copy()).M is model.M
+        with pytest.raises(DimensionError, match="realized on H"):
+            dataclasses.replace(model, H=model.H + 1e-12)
+
     def test_matches_transfer_function_feedback(self, session):
         """Closed-loop poles equal the roots of den_G*den_K + num_G*num_K."""
         g_zeros, g_poles, g_gain = zpk_of_ss(session.augmented.nominal)
