@@ -36,8 +36,9 @@ from .lti import (
     ss_from_zpk,
     zpk_of_ss,
 )
-from .mdelta import MDeltaModel, build_mdelta, closed_loop_uncertain, m_transfer, rank_one_factor
-from .pipeline import AnalysisConfig, AnalysisResult, build_session, run_analysis
+from .mdelta import (MDeltaModel, build_mdelta, closed_loop_uncertain, m_transfer, model_of,
+                     rank_one_factor)
+from .pipeline import AnalysisConfig, AnalysisResult, analyze_model, build_session, run_analysis
 
 __version__ = "0.1.0"
 
@@ -54,6 +55,7 @@ __all__ = [
     "StateSpace",
     "UncertainPlant",
     "VerificationReport",
+    "analyze_model",
     "augment_uncertain_plant",
     "build_mdelta",
     "build_session",
@@ -67,6 +69,7 @@ __all__ = [
     "load_default_model",
     "load_model_file",
     "m_transfer",
+    "model_of",
     "popov_bounds",
     "positive_real_bounds",
     "rank_one_factor",

@@ -7,18 +7,15 @@ from pathlib import Path
 
 import click
 
-from . import aircraft, criteria, pipeline
+from . import aircraft, pipeline
 from .criteria import CRITERIA
 from .errors import CgMarginError
 
 # figure -> the criterion whose interval it draws
-FIGURE_CRITERIA = {
-    "nyquist_smallgain": "small_gain",
-    "nyquist_circle": "circle",
-    "nyquist_posreal": "positive_real",
-    "popov": "popov",
-}
+FIGURE_CRITERIA = {row.figure: name for name, row in pipeline.CRITERION_TABLE.items() if row.figure}
 FIGURES = tuple(FIGURE_CRITERIA)
+# --criteria short name -> criterion: a figure's name less its nyquist_ plane
+ALIASES = {figure.removeprefix("nyquist_"): name for figure, name in FIGURE_CRITERIA.items()}
 
 
 def _parse_complex_list(_ctx, _param, value):
@@ -124,13 +121,10 @@ def cmd_analyze(criteria_list: str, n_verify: int, out_dir: Path, **kw):
     Exit code 0 only if every produced interval passes interior-stability
     verification.
     """
-    names = tuple(tok.replace("smallgain", "small_gain")
-                  .replace("posreal", "positive_real")
-                  for tok in (t.strip() for t in criteria_list.split(","))
-                  if tok)
+    tokens = (tok.strip() for tok in criteria_list.split(","))
+    names = tuple(ALIASES.get(tok, tok) for tok in tokens if tok)
     config = _make_config(criteria=names, n_verify=n_verify, **kw)
-    session = _build_session(config)
-    result = pipeline.run_analysis(config, session=session)
+    result = pipeline.run_analysis(config, _build_session(config))
     table = pipeline.format_report_table(result.intervals)
     click.echo(table)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,26 +168,14 @@ def cmd_plot(figure: str, fmt: str, out_dir: Path, **kw):
 def _figure_rows(session, figure: str):
     """Samples of the locus, then the geometry of the criterion's interval and
     its real-axis intercepts as markers."""
-    criterion = FIGURE_CRITERIA[figure]
-    w = pipeline.compute_interval(session, criterion).witnesses
-    if criterion == "small_gain":
-        geometry, intercepts = [("circle", 0.0, w["r_sg"], 0.0)], (w["r_sg"], -w["r_sg"])
-    elif criterion == "circle":
-        xc, rc = w["x_c"], w["r_c"]
-        geometry, intercepts = [("circle", xc, rc, 0.0)], (xc + rc, xc - rc)
-    elif criterion == "positive_real":
-        intercepts = (w["x_max"], w["x_min"])
-        geometry = [("line", 0.0, x, 0.0) for x in intercepts]   # Popov lines at q = 0
-    else:
-        intercepts = (w["c_plus"], w["c_minus"])
-        geometry = [("line", w["q_plus"], w["c_plus"], 0.0),
-                    ("line", w["q_minus"], w["c_minus"], 0.0)]
+    criterion = pipeline.CRITERION_TABLE[FIGURE_CRITERIA[figure]]
     s = session.summary
-    popov = criterion == "popov"
+    geometry, intercepts = criterion.geometry(criterion.bounds(session.model, s).witnesses)
+    popov = criterion.popov_plane
     y = s.omegas * s.values.imag if popov else s.values.imag
     rows = [("sample", om, v.real, yk) for om, v, yk in zip(s.omegas, s.values, y)]
     rows += geometry + [("marker", x, 0.0, 0.0) for x in intercepts]
-    title = f"{pipeline.CRITERION_LABELS[criterion]} criterion"
+    title = f"{criterion.label} criterion"
     return rows, title, "Re M(jω)", "ω Im M(jω)" if popov else "Im M(jω)", not popov
 
 
@@ -208,7 +190,7 @@ def _figure_rows(session, figure: str):
 @_common_options
 def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
     """Interior-stability audit of every criterion interval."""
-    config = _make_config(**kw)
+    config = _make_config(n_verify=n_samples, **kw)
     if results is not None:
         text = results.read_text()
         try:
@@ -222,16 +204,14 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
                                        f"but --stability-margin is {config.stability_margin!r}")
     session = _build_session(config)
     if results is None:
-        intervals = {name: pipeline.compute_interval(session, name) for name in CRITERIA}
-    any_failed = False
-    for name in CRITERIA:
-        if name not in intervals:
-            continue
-        iv = intervals[name]
-        if iv.lower_unbounded or iv.upper_unbounded:
+        intervals, reports = pipeline.analyze_model(session.model, session.summary, config)
+    else:
+        reports = pipeline.audit_intervals(session.model, intervals, n_samples)
+    for name in intervals:
+        report = reports.get(name)
+        if report is None:
             click.echo(f"{name:<14} SKIP (unbounded side)")
             continue
-        report = criteria.verify_interval(session.model, iv, n_samples)
         status = "PASS" if report.passed else "FAIL"
         detail = ""
         if report.crossings:
@@ -241,8 +221,7 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
             d, mr = report.failures[0]
             detail += f"  first failure at delta={d:.6g} (max Re eig {mr:.3e})"
         click.echo(f"{name:<14} {status} ({report.n_checked} samples){detail}")
-        any_failed = any_failed or not report.passed
-    if any_failed:
+    if not all(report.passed for report in reports.values()):
         sys.exit(1)
 
 

@@ -35,7 +35,7 @@ class MDeltaModel:
     v: np.ndarray
     w: np.ndarray
     M: StateSpace
-    margin: float = 0.0   # m of a model built on H + m*I (build_mdelta)
+    margin: float = 0.0   # m of a model built on H + m*I (model_of)
 
     def __post_init__(self):
         if not (self.M.A is self.H or np.array_equal(self.M.A, self.H)):
@@ -106,26 +106,33 @@ def m_transfer(H: np.ndarray, sigma: float, v: np.ndarray, w: np.ndarray) -> Sta
                       -np.asarray(w).reshape(1, -1), np.zeros((1, 1)))
 
 
-def build_mdelta(plant: UncertainPlant, controller: StateSpace, margin: float = 0.0) -> MDeltaModel:
-    """Full M-Delta model of the uncertain closed loop at stability margin m.
+def model_of(H: np.ndarray, Qcal: np.ndarray, margin: float = 0.0) -> MDeltaModel:
+    """M-Delta model of H + delta*Qcal for a rank-1 Qcal, at stability margin m.
 
     For m != 0 it is built on H + m*I, so M is M(s - m) and every result read
-    off it keeps the eigenvalues of H + delta*Qcal left of Re s = -m.  Raises
-    UnstableFixedPartError if the slowest nominal mode, read off ``M.poles``
-    (kept on M for the criteria), does not clear m.
+    off it keeps the eigenvalues of H + delta*Qcal left of Re s = -m; for m = 0
+    it holds H itself, not a copy.  H need not be stable (see build_mdelta).
     """
-    H, Qcal = closed_loop_uncertain(plant, controller)
+    H = np.asarray(H, dtype=float)
     if margin != 0.0:
         H = H + margin * np.eye(H.shape[0])
     sigma, v, w = rank_one_factor(Qcal)
-    M = m_transfer(H, sigma, v, w)
-    slowest = M.poles.real.max()
+    return MDeltaModel(H=H, Qcal=Qcal, sigma=sigma, v=v, w=w,
+                       M=m_transfer(H, sigma, v, w), margin=margin)
+
+
+def build_mdelta(plant: UncertainPlant, controller: StateSpace, margin: float = 0.0) -> MDeltaModel:
+    """Full M-Delta model of the uncertain closed loop at stability margin m
+    (model_of).  Raises UnstableFixedPartError if the slowest nominal mode,
+    read off ``M.poles`` (kept on M for the criteria), does not clear m."""
+    model = model_of(*closed_loop_uncertain(plant, controller), margin)
+    slowest = model.M.poles.real.max()
     if not slowest < 0.0:
         raise UnstableFixedPartError(
             f"nominal closed loop is unstable at stability margin {margin:g}: its slowest "
             f"mode, at Re s = {slowest - margin:.5g}, does not clear it"
         )
-    return MDeltaModel(H=H, Qcal=Qcal, sigma=sigma, v=v, w=w, M=M, margin=margin)
+    return model
 
 
 def closed_loop_matrix(model: MDeltaModel, delta: float) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import aircraft, criteria, mdelta
-from .criteria import CRITERIA, StabilityInterval, VerificationReport
+from .criteria import CRITERIA, StabilityInterval
 from .lti import FrequencyLocus, StateSpace, ss_from_zpk, zpk_of_ss
 
 # robust H-infinity loopshaping controller for the elevator-to-attitude
@@ -29,7 +30,7 @@ DEFAULT_KALPHA = 1.72
 @dataclass
 class AnalysisConfig:
     """All knobs of an analysis run; defaults reproduce the bundled model.
-    A stability margin m >= 0 builds the model on H + m*I (mdelta.build_mdelta)."""
+    A stability margin m >= 0 builds the model on H + m*I (mdelta.model_of)."""
 
     model_path: Path | None = None
     controller_zeros: tuple = DEFAULT_CONTROLLER_ZEROS
@@ -74,8 +75,8 @@ class AnalysisSession:
 @dataclass
 class AnalysisResult:
     session: AnalysisSession
-    intervals: dict = field(default_factory=dict)   # criterion -> interval
-    reports: dict = field(default_factory=dict)     # criterion -> report
+    intervals: dict   # criterion -> interval, in CRITERIA order
+    reports: dict     # criterion -> report, for each finite interval
 
     @property
     def all_sound(self) -> bool:
@@ -105,104 +106,112 @@ def build_session(config: AnalysisConfig) -> AnalysisSession:
     )
 
 
-def compute_interval(session: AnalysisSession, criterion: str) -> StabilityInterval:
-    if criterion == "exact":
-        return criteria.exact_bounds(session.model)
-    if criterion == "small_gain":
-        return criteria.small_gain_bounds(session.summary)
-    if criterion == "circle":
-        return criteria.circle_bounds(session.summary)
-    if criterion == "positive_real":
-        return criteria.positive_real_bounds(session.summary)
-    if criterion == "popov":
-        return criteria.popov_bounds(session.summary)
-    raise ValueError(f"unknown criterion {criterion!r}")
+def _circle(x: float, r: float):
+    """A circle of center x and radius r, and its real-axis intercepts."""
+    return [("circle", x, r, 0.0)], (x + r, x - r)
+
+
+def _lines(*lines):
+    """Popov lines (slope q, intercept c), and their real-axis intercepts."""
+    return [("line", q, c, 0.0) for q, c in lines], tuple(c for _, c in lines)
+
+
+@dataclass(frozen=True)
+class CriterionRow:
+    """One criterion: its report label, its interval ``bounds(model, locus)``
+    and, if it is graphical, the figure that draws that interval."""
+
+    label: str
+    bounds: Callable[[mdelta.MDeltaModel, FrequencyLocus], StabilityInterval]
+    figure: str | None = None
+    geometry: Callable[[dict], tuple] | None = None   # witnesses -> (rows, intercepts)
+    popov_plane: bool = False   # the figure plots w Im M, not Im M, against Re M
+
+
+# keyed in CRITERIA order.  Each bounds calls through the criteria module when
+# it runs, so that a function rebound there (a tracer, a test) is the one run.
+CRITERION_TABLE = {
+    "exact": CriterionRow("Exact", lambda model, locus: criteria.exact_bounds(model)),
+    "small_gain": CriterionRow(
+        "Small gain", lambda model, locus: criteria.small_gain_bounds(locus),
+        "nyquist_smallgain", lambda w: _circle(0.0, w["r_sg"])),
+    "circle": CriterionRow(
+        "Circle", lambda model, locus: criteria.circle_bounds(locus),
+        "nyquist_circle", lambda w: _circle(w["x_c"], w["r_c"])),
+    "positive_real": CriterionRow(   # its Popov lines at q = 0
+        "Positive real", lambda model, locus: criteria.positive_real_bounds(locus),
+        "nyquist_posreal", lambda w: _lines((0.0, w["x_max"]), (0.0, w["x_min"]))),
+    "popov": CriterionRow(
+        "Popov", lambda model, locus: criteria.popov_bounds(locus),
+        "popov", lambda w: _lines((w["q_plus"], w["c_plus"]), (w["q_minus"], w["c_minus"])),
+        popov_plane=True),
+}
+
+
+def audit_intervals(model: mdelta.MDeltaModel, intervals: dict, n_samples: int) -> dict:
+    """verify_interval on each finite interval; a half-bounded one gets no report."""
+    return {name: criteria.verify_interval(model, iv, n_samples)
+            for name, iv in intervals.items() if not (iv.lower_unbounded or iv.upper_unbounded)}
+
+
+def analyze_model(model: mdelta.MDeltaModel, locus: FrequencyLocus,
+                  config: AnalysisConfig) -> tuple[dict, dict]:
+    """The intervals of config.criteria on any M-Delta model and a locus of
+    its M, in CRITERIA order, and the audits of the finite ones."""
+    intervals = {name: row.bounds(model, locus)
+                 for name, row in CRITERION_TABLE.items() if name in config.criteria}
+    return intervals, audit_intervals(model, intervals, config.n_verify)
 
 
 def run_analysis(config: AnalysisConfig, session: AnalysisSession | None = None) -> AnalysisResult:
     """Compute the selected criteria and verify every finite interval."""
     session = session or build_session(config)
-    result = AnalysisResult(session=session)
-    ordered = [c for c in CRITERIA if c in config.criteria]
-    for criterion in ordered:
-        interval = compute_interval(session, criterion)
-        result.intervals[criterion] = interval
-        if not (interval.lower_unbounded or interval.upper_unbounded):
-            result.reports[criterion] = criteria.verify_interval(
-                session.model, interval, config.n_verify
-            )
-    return result
+    return AnalysisResult(session, *analyze_model(session.model, session.summary, config))
 
 
 # ---------------------------------------------------------------------------
 # Report rendering
 
-CRITERION_LABELS = {
-    "exact": "Exact",
-    "small_gain": "Small gain",
-    "circle": "Circle",
-    "positive_real": "Positive real",
-    "popov": "Popov",
-}
-
-
 def _fmt_bound(value: float) -> str:
     return "unbounded" if np.isinf(value) else f"{value:.6g}"
 
 
-def _fmt_witnesses(interval: StabilityInterval) -> str:
-    parts = []
-    for key, val in interval.witnesses.items():
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            val = "(" + ", ".join(f"{x:.6g}" for x in val) + ")"
-        elif isinstance(val, float):
-            val = f"{val:.6g}"
-        parts.append(f"{key}={val}")
-    return " ".join(parts)
+def _fmt_witnesses(interval: StabilityInterval, number, sep: str, tuple_sep: str) -> str:
+    """key=value for each witness that is not None, ``number`` writing each float."""
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return "(" + tuple_sep.join(number(x) for x in value) + ")"
+        return number(value) if isinstance(value, float) else str(value)
+
+    return sep.join(f"{k}={text(v)}" for k, v in interval.witnesses.items() if v is not None)
 
 
 def format_report_table(intervals: dict) -> str:
-    """Aligned text table, exact row first."""
+    """Aligned text table, one row per interval in the order of ``intervals``."""
     header = f"{'Analysis':<14} {'lower':>12} {'upper':>12}   witnesses"
     lines = [header, "-" * len(header)]
-    for criterion in CRITERIA:
-        if criterion not in intervals:
-            continue
-        iv = intervals[criterion]
+    for criterion, iv in intervals.items():
         lines.append(
-            f"{CRITERION_LABELS[criterion]:<14} "
+            f"{CRITERION_TABLE[criterion].label:<14} "
             f"{_fmt_bound(iv.lower):>12} "
             f"{_fmt_bound(iv.upper):>12}   "
-            f"{_fmt_witnesses(iv)}"
+            f"{_fmt_witnesses(iv, '{:.6g}'.format, ' ', ', ')}"
         )
     return "\n".join(lines) + "\n"
 
 
 def format_report_csv(intervals: dict, margin: float) -> str:
-    """One row per interval; every row records the stability margin m of the run."""
+    """One row per interval, in the order of ``intervals``; every row records
+    the stability margin m of the run."""
     lines = ["criterion,lower,upper,lower_unbounded,upper_unbounded,stability_margin,witnesses"]
-    for criterion in CRITERIA:
-        if criterion not in intervals:
-            continue
-        iv = intervals[criterion]
-        wit = ";".join(
-            f"{k}={_csv_value(v)}" for k, v in iv.witnesses.items() if v is not None
-        )
+    for criterion, iv in intervals.items():
+        # repr of float(x): a numpy scalar would print as np.float64(...)
+        wit = _fmt_witnesses(iv, lambda x: repr(float(x)), ";", " ")
         lines.append(
             f"{criterion},{iv.lower!r},{iv.upper!r},"
             f"{int(iv.lower_unbounded)},{int(iv.upper_unbounded)},{float(margin)!r},{wit}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _csv_value(v) -> str:
-    if isinstance(v, tuple):
-        return "(" + " ".join(repr(float(x)) for x in v) + ")"
-    if isinstance(v, float):
-        return repr(float(v))   # a numpy scalar would print as np.float64(...)
-    return str(v)
 
 
 def _report_rows(text: str) -> list:
@@ -212,7 +221,8 @@ def _report_rows(text: str) -> list:
 
 def parse_report_csv(text: str) -> dict:
     """Read back the intervals written by format_report_csv from their bounds
-    alone (a side is unbounded exactly when its bound is -inf or inf).  A row
+    alone (a side is unbounded exactly when its bound is -inf or inf), in
+    CRITERIA order.  A row
     that names no criterion, repeats one, or lacks two numeric bounds, raises
     ValueError naming its line."""
     intervals: dict[str, StabilityInterval] = {}
@@ -230,7 +240,7 @@ def parse_report_csv(text: str) -> dict:
         intervals[fields[0]] = StabilityInterval(
             lower=lower, upper=upper, criterion=fields[0], witnesses={}
         )
-    return intervals
+    return {name: intervals[name] for name in CRITERIA if name in intervals}
 
 
 def parse_report_margin(text: str) -> float | None:

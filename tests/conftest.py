@@ -7,7 +7,7 @@ import pytest
 from cgmargin import AnalysisConfig, StabilityInterval, build_session, run_analysis
 from cgmargin.criteria import sample_locus
 from cgmargin.errors import UnstableFixedPartError
-from cgmargin.mdelta import MDeltaModel, m_transfer, rank_one_factor
+from cgmargin.mdelta import model_of
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -135,20 +135,11 @@ def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, marg
     )
 
 
-def rank_one_model(H, Q):
-    """M-Delta model of H + delta*Q for a rank-1 Q."""
-    H = np.asarray(H, dtype=float)
-    sigma, v, w = rank_one_factor(Q)
-    return MDeltaModel(
-        H=H, Qcal=Q, sigma=sigma, v=v, w=w, M=m_transfer(H, sigma, v, w)
-    )
-
-
 def random_rank_one_model(rng, n=6, shift=0.5):
     """Random stable state matrix with a random rank-1 perturbation."""
     A = rng.normal(size=(n, n))
     A = A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
-    return rank_one_model(A, np.outer(rng.normal(size=n), rng.normal(size=n)))
+    return model_of(A, np.outer(rng.normal(size=n), rng.normal(size=n)))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from click.testing import CliRunner
 
 from cgmargin import criteria, pipeline, svgplot
 from cgmargin.aircraft import default_model_path, load_default_model, load_model_file
-from cgmargin.cli import FIGURE_CRITERIA, FIGURES, main
+from cgmargin.cli import ALIASES, FIGURE_CRITERIA, FIGURES, main
 from cgmargin.criteria import CRITERIA
 from cgmargin.lti import zpk_of_ss
 from cgmargin.pipeline import parse_report_csv
@@ -143,11 +143,22 @@ class TestAnalyzeCommand:
         assert set(intervals) == {"small_gain", "positive_real"}
 
     def test_unknown_criterion(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["analyze", "--criteria", "bogus", "--out", str(tmp_path)]
-        )
-        assert result.exit_code != 0
-        assert "unknown criteria" in result.output
+        # the error names the tokens as given: a short name maps only whole
+        for given, unknown in [("bogus", ["bogus"]),
+                               ("nyquist_smallgain,posreal_x", ["nyquist_smallgain", "posreal_x"])]:
+            result = runner.invoke(
+                main, ["analyze", "--criteria", given, "--out", str(tmp_path)]
+            )
+            assert result.exit_code != 0
+            assert f"unknown criteria: {unknown}" in result.output
+
+    def test_table_names_every_criterion_once(self):
+        assert tuple(pipeline.CRITERION_TABLE) == CRITERIA
+        assert set(FIGURE_CRITERIA.values()) <= set(CRITERIA)
+        assert set(ALIASES.values()) <= set(CRITERIA)
+        assert ALIASES["smallgain"] == "small_gain" and ALIASES["posreal"] == "positive_real"
+        for figure, criterion in FIGURE_CRITERIA.items():
+            assert pipeline.CRITERION_TABLE[criterion].figure == figure
 
     def test_unstable_nominal_aborts(self, runner, tmp_path):
         result = runner.invoke(
@@ -269,7 +280,12 @@ class TestVerifyCommand:
         assert result.output.count("PASS") == 5
         assert "FAIL" not in result.output
 
-    def test_audits_each_interval_once(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("from_report", [False, True], ids=["computed", "results"])
+    def test_audits_each_interval_once(self, runner, tmp_path, monkeypatch, from_report):
+        args = ["verify", "--n-samples", "20", "--out", str(tmp_path)]
+        if from_report:
+            run_ok(runner, ["analyze", "--out", str(tmp_path)])
+            args += ["--results", str(tmp_path / "report.csv")]
         calls = []
         audit = criteria.verify_interval
 
@@ -278,7 +294,7 @@ class TestVerifyCommand:
             return audit(model, interval, n_samples)
 
         monkeypatch.setattr(criteria, "verify_interval", counted)
-        result = run_ok(runner, ["verify", "--n-samples", "20", "--out", str(tmp_path)])
+        result = run_ok(runner, args)
         assert sorted(calls) == sorted((name, 20) for name in CRITERIA)
         assert result.output.splitlines() == [f"{name:<14} PASS (20 samples)" for name in CRITERIA]
 

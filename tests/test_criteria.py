@@ -28,15 +28,20 @@ from cgmargin.lti import (
     imaginary_zeros,
     ss_from_zpk,
 )
-from cgmargin.mdelta import closed_loop_matrix
-from cgmargin.pipeline import AnalysisConfig, build_session, run_analysis
+from cgmargin.mdelta import closed_loop_matrix, model_of
+from cgmargin.pipeline import (
+    CRITERION_TABLE,
+    AnalysisConfig,
+    analyze_model,
+    build_session,
+    run_analysis,
+)
 
 from conftest import (
     dense_response,
     golden_min,
     random_rank_one_model,
     max_real_part,
-    rank_one_model,
     scan_exact_bounds,
 )
 
@@ -62,22 +67,22 @@ def _hard_case(name):
     """The M-Delta model of one hard case.  The aircraft case is built at a
     stability margin, so its H is H + AIRCRAFT_MARGIN*I."""
     if name == "relative_degree_3":
-        return rank_one_model(REL3.A, -REL3.B @ REL3.C)
+        return model_of(REL3.A, -REL3.B @ REL3.C)
     rng = np.random.default_rng(11)
     if name == "cb_zero":
         H = rng.normal(size=(8, 8))
         H -= (np.linalg.eigvals(H).real.max() + 0.5) * np.eye(8)
         b, c = rng.normal(size=8), rng.normal(size=8)
         c -= (c @ b) / (b @ b) * b
-        return rank_one_model(H, -np.outer(b, c))
+        return model_of(H, -np.outer(b, c))
     if name == "light_damping":
         H = np.zeros((4, 4))
         H[:2, :2] = [[-1e-3, 1.0], [-1.0, -1e-3]]
         H[2:, 2:] = [[-0.5, 2.0], [-2.0, -0.5]]
-        return rank_one_model(H, -np.outer([1.0, 0.3, -0.7, 0.4], [0.5, 1.0, 0.8, -0.2]))
+        return model_of(H, -np.outer([1.0, 0.3, -0.7, 0.4], [0.5, 1.0, 0.8, -0.2]))
     if name == "jordan_block":
         H = -np.eye(4) + np.diag(np.ones(3), 1)
-        return rank_one_model(H, -np.outer([0.2, -0.5, 1.0, 0.7], [1.0, 0.4, -0.3, 0.9]))
+        return model_of(H, -np.outer([0.2, -0.5, 1.0, 0.7], [1.0, 0.4, -0.3, 0.9]))
     if name == "random_n128":
         return random_rank_one_model(np.random.default_rng(0), n=128)
     if name == "flat_at_origin":
@@ -85,7 +90,7 @@ def _hard_case(name):
         # zero at s = 0 that the eigenvalue solve leaves off the axis; the
         # lower bound -1/M(0) must still be found
         M = ss_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0)
-        return rank_one_model(M.A, -M.B @ M.C)
+        return model_of(M.A, -M.B @ M.C)
     return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
 
 
@@ -603,7 +608,7 @@ class TestExact:
         with pytest.raises(DimensionError, match="realized on H"):
             dataclasses.replace(session.model, H=np.eye(8), M=session.model.M)
         # built directly, not by build_mdelta; M is realized on the unstable H
-        bad = rank_one_model(np.eye(8), session.model.Qcal)
+        bad = model_of(np.eye(8), session.model.Qcal)
         with pytest.raises(UnstableFixedPartError):
             exact_bounds(bad, session.summary)
 
@@ -942,3 +947,49 @@ class TestStabilityMargin:
             "positive_real": pytest.approx((-5.44837, 0.499802), rel=1e-5),
             "popov": pytest.approx((-8.70534, 0.50087), rel=1e-5),
         }
+
+
+class TestAnalyzeModel:
+    @staticmethod
+    def direct_calls(model, config):
+        """The five criterion calls and the audits, one by one."""
+        locus = sample_locus(model.M, wmin=config.wmin, wmax=config.wmax, n=config.npoints)
+        intervals = {
+            "exact": exact_bounds(model, locus),
+            "small_gain": small_gain_bounds(locus),
+            "circle": circle_bounds(locus, center="optimal"),
+            "positive_real": positive_real_bounds(locus),
+            "popov": popov_bounds(locus),
+        }
+        reports = {name: verify_interval(model, iv, config.n_verify)
+                   for name, iv in intervals.items()
+                   if not (iv.lower_unbounded or iv.upper_unbounded)}
+        return locus, intervals, reports
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    def test_bare_models_match_direct_calls(self):
+        rng = np.random.default_rng(0)
+        models = [random_rank_one_model(rng, 32) for _ in range(4)]
+        models.append(model_of(models[0].H, models[0].Qcal, margin=0.2))
+        config = AnalysisConfig()
+        unaudited = 0
+        for model in models:
+            locus, intervals, reports = self.direct_calls(model, config)
+            got = analyze_model(model, locus, config)
+            assert repr(got) == repr((intervals, reports))
+            assert tuple(got[0]) == criteria.CRITERIA
+            unaudited += len(got[0]) - len(got[1])
+        assert unaudited > 0   # a half-bounded interval gets no report
+
+    def test_rows_call_the_criteria_module_when_run(self, session, monkeypatch):
+        # a tracer or a test rebinds a criterion function in criteria itself
+        for name in criteria.CRITERIA:
+            monkeypatch.setattr(criteria, f"{name}_bounds", lambda *args, name=name: name)
+        got = {name: row.bounds(session.model, session.summary)
+               for name, row in CRITERION_TABLE.items()}
+        assert got == {name: name for name in criteria.CRITERIA}
+
+    def test_selected_criteria_in_table_order(self, session):
+        config = AnalysisConfig(criteria=("popov", "exact"), n_verify=5)
+        intervals, reports = analyze_model(session.model, session.summary, config)
+        assert list(intervals) == list(reports) == ["exact", "popov"]

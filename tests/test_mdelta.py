@@ -8,6 +8,7 @@ from cgmargin.mdelta import (
     closed_loop_matrix,
     closed_loop_uncertain,
     m_transfer,
+    model_of,
     rank_one_factor,
 )
 from cgmargin.pipeline import (
@@ -145,6 +146,15 @@ class TestRootLocusEquivalence:
             roots = np.sort_complex(np.roots(den + delta * pad))
             eigs = np.sort_complex(np.linalg.eigvals(closed_loop_matrix(m, delta)))
             assert np.allclose(roots, eigs, atol=1e-5)
+
+
+class TestModelOf:
+    def test_holds_h_itself_or_shifted_by_the_margin(self, session):
+        H, Qcal = session.model.H, session.model.Qcal
+        assert model_of(H, Qcal).H is H
+        shifted = model_of(H, Qcal, margin=0.2)
+        assert np.array_equal(shifted.H, H + 0.2 * np.eye(8))
+        assert shifted.M.A is shifted.H and shifted.margin == 0.2
 
 
 class TestBuildMDelta:
