@@ -173,7 +173,7 @@ def _figure_rows(session, figure: str):
     geometry, intercepts = criterion.geometry(criterion.bounds(session.model, s).witnesses)
     popov = criterion.popov_plane
     y = s.omegas * s.values.imag if popov else s.values.imag
-    rows = [("sample", om, v.real, yk) for om, v, yk in zip(s.omegas, s.values, y)]
+    rows = [("sample", *row) for row in zip(s.omegas.tolist(), s.values.real.tolist(), y.tolist())]
     rows += geometry + [("marker", x, 0.0, 0.0) for x in intercepts]
     title = f"{criterion.label} criterion"
     return rows, title, "Re M(jω)", "ω Im M(jω)" if popov else "Im M(jω)", not popov

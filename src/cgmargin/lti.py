@@ -144,14 +144,20 @@ class StateSpace:
     def real_crossings(self) -> tuple:
         """Every (w, x) with x = M(jw) real, w >= 0 and |x| > 1e-12 (SISO): w = 0
         and the jw-axis zeros of M(s) - M(-s), realized as (diag(A, -A), [b; b],
-        [c, c]).  On M(s - m), built at a stability margin m, these are the
-        crossings on Re s = -m.  Computed on first use and kept."""
+        [c, c]), plus each zero z within sqrt(AXIS_RTOL) * |z| of the axis where
+        M(jw) is real to AXIS_RTOL * |M(jw)|: where M(jw) touches the real axis
+        the zero is double, and leaves the axis by about sqrt(eps).  On M(s - m),
+        built at a stability margin m, these are the crossings on Re s = -m.
+        Computed on first use and kept."""
         A, b, c, zero = self.A, self.B[:, 0], self.C[0], np.zeros_like(self.A)
         A2 = np.block([[A, zero], [zero, -A]])
-        w = imaginary_zeros(A2, np.concatenate([b, b]), np.concatenate([c, c]))
-        w = np.concatenate([[0.0], w[w > 0]])
-        x = freq_values(self, w).real
-        return tuple((float(wk), float(xk)) for wk, xk in zip(w, x) if abs(xk) > 1e-12)
+        z = _zero_dynamics(A2, np.concatenate([b, b]), np.concatenate([c, c]), 0.0)[0]
+        z = z[(z.imag > 0) & (np.abs(z.real) <= math.sqrt(AXIS_RTOL) * np.abs(z))]
+        z = np.concatenate([[0.0], z[np.argsort(z.imag)]])
+        m = freq_values(self, z.imag)
+        keep = (np.abs(z.real) <= AXIS_RTOL * np.abs(z)) | (np.abs(m.imag) <= AXIS_RTOL * np.abs(m))
+        keep &= (np.diff(z.imag, prepend=-1.0) > 0) & (np.abs(m.real) > 1e-12)   # drop repeats
+        return tuple(zip(z.imag[keep].tolist(), m.real[keep].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

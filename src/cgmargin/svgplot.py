@@ -137,7 +137,9 @@ def render_svg(rows, title: str, xlabel: str, ylabel: str, equal_aspect: bool = 
 
     samples = [(b, c) for kind, a, b, c in rows if kind == "sample"]
     if samples:
-        pts = " ".join(f"{_f(m.px(x))},{_f(m.py(y))}" for x, y in samples)
+        x0, y0, sx, sy = m.x0, m.y0, m.sx, m.sy   # m.px and m.py inline, per sample
+        pts = " ".join(f"{MARGIN_L + (x - x0) * sx:.2f},{HEIGHT - MARGIN_B - (y - y0) * sy:.2f}"
+                       for x, y in samples)
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" '
             f'stroke-width="1.5"/>'

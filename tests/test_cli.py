@@ -327,15 +327,15 @@ class TestVerifyCommand:
         assert "first failure" not in result.output
 
     def test_zero_lower_bound_probed_below(self, runner, tmp_path):
-        # just outside a lower bound of 0 lies below it, where the loop is
-        # stable: the exact lower bound is -16.39
+        # a lower bound of 0 is not marginal: the loop is stable there, and
+        # the exact lower bound is -16.39
         csv_path = tmp_path / "report.csv"
         csv_path.write_text(REPORT_HEADER + "exact,0,0.5123037430,0,0,0.0,\n")
         result = runner.invoke(
             main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)]
         )
         assert result.exit_code == 1
-        assert "first failure at delta=-0.001 (" in result.output
+        assert "first failure at delta=0 (" in result.output
 
     def test_skips_unbounded_rows(self, runner, tmp_path):
         csv_path = tmp_path / "report.csv"

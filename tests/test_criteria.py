@@ -2,12 +2,14 @@ import dataclasses
 import math
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from cgmargin import criteria, lti
 from cgmargin.criteria import (
+    GIL_FREE_SIZE,
     StabilityInterval,
     _minimax_line,
     _modulus_level,
@@ -92,6 +94,24 @@ def _hard_case(name):
         M = ss_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0)
         return model_of(M.A, -M.B @ M.C)
     return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
+
+
+def _touch_model(seed, at_origin):
+    """A 6-state model whose M(jw) touches the real axis at w = 1 with M(j) =
+    -5, so that the exact upper bound is 0.2 wherever the touch binds.  c is
+    the least-norm solution of Re M(j) = -5, Im M(j) = 0, d/dw Im M(jw) = 0
+    at w = 1 and, if ``at_origin``, M(0) = 1; M(s) = c (sI - A)^-1 b."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(6, 6))
+    A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(6)
+    b = rng.normal(size=6)
+    g = np.linalg.solve(1j * np.eye(6) - A, b)
+    dg = -1j * np.linalg.solve(1j * np.eye(6) - A, g)
+    rows, rhs = [g.real, g.imag, dg.imag], [-5.0, 0.0, 0.0]
+    if at_origin:
+        rows, rhs = rows + [-np.linalg.solve(A, b)], rhs + [1.0]
+    c = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+    return model_of(A, -np.outer(b, c))
 
 
 AIRCRAFT_MARGIN = 0.005
@@ -353,12 +373,12 @@ class TestCertificate:
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
         # the crossing set is cached on M: whichever of exact_bounds and
         # popov_bounds runs first makes the one d = 0 solve, the other none
-        calls = []
+        calls, zero_dynamics = [], lti._zero_dynamics
 
-        def counted(A, b, c, d=0.0):
+        def counted(A, b, c, d):
             if d == 0.0:
                 calls.append(A)
-            return imaginary_zeros(A, b, c, d)
+            return zero_dynamics(A, b, c, d)
 
         def exact(model):
             exact_bounds(model)
@@ -366,7 +386,7 @@ class TestCertificate:
         def popov(model):
             popov_bounds(sample_locus(model.M))
 
-        monkeypatch.setattr(lti, "imaginary_zeros", counted)
+        monkeypatch.setattr(lti, "_zero_dynamics", counted)
         M = session.model.M
         for first, second in ((exact, popov), (popov, exact)):
             # a copy of M has no crossing set yet
@@ -653,6 +673,38 @@ class TestExact:
         assert (iv.lower, iv.upper) == pytest.approx((-1.0, 1.0), rel=1e-12)
         assert iv.witnesses["upper_crossing"] == pytest.approx((1.0, -1.0), rel=1e-12)
 
+    # seeds 0-19 where the touch binds the upper bound; with M(0) = 1 each of
+    # them is also bounded below, so its interval is audited
+    @pytest.mark.parametrize("at_origin, binding", [
+        (True, (4, 9, 14)), (False, (2, 3, 9, 12, 14, 15, 16, 17, 18)),
+    ], ids=["m0", "free"])
+    def test_tangential_touch_found(self, at_origin, binding):
+        # a double zero of M(s) - M(-s) is found to about sqrt(eps), and Re M
+        # moves with it: the bound reads 0.2 less up to 1.2e-7 on these seeds
+        for seed in range(20):
+            model = _touch_model(seed, at_origin)
+            iv = exact_bounds(model)
+            assert iv.upper <= 0.2 + 1e-7, seed
+            if seed in binding:
+                assert iv.upper == pytest.approx(0.2, abs=2e-7 if at_origin else 1e-8), seed
+                if at_origin:
+                    assert verify_interval(model, iv, 50).passed, seed
+
+    @pytest.mark.parametrize("case", ["relative_degree_3", "light_damping", "random_n128",
+                                      "aircraft_margin"])
+    def test_bounds_probed_marginal(self, case):
+        # the exact interval passes with no sample; each bound moved by 1e-3
+        # relative, in or out, fails at that bound
+        model = _hard_case(case)
+        iv = exact_bounds(model)
+        with pytest.warns(UserWarning, match="vacuous"):
+            assert verify_interval(model, iv, 0).passed
+            for side in ("lower", "upper"):
+                for factor in (1 - 1e-3, 1 + 1e-3):
+                    moved = dataclasses.replace(iv, **{side: getattr(iv, side) * factor})
+                    report = verify_interval(model, moved, 0)
+                    assert [d for d, _ in report.failures] == [getattr(moved, side)]
+
     def test_window_independent(self):
         def exact(**window):
             config = AnalysisConfig(criteria=("exact",), **window)
@@ -763,7 +815,9 @@ class TestVerification:
             mr = float(np.linalg.eigvals(matrix).real.max())
             if mr >= 0.0:
                 per_delta.append((float(d), mr))
-        assert per_delta and report.failures == tuple(per_delta)
+        # the exact lower bound is marginal, the moved-out upper one is not
+        probe = float(np.linalg.eigvals(closed_loop_matrix(session.model, 1.0)).real.max())
+        assert per_delta and report.failures == (*per_delta, (1.0, probe))
 
     def test_interval_past_a_crossing_fails(self, session):
         # every sample of (-16.46, 0.5) is stable; the eigenvalue reaching the
@@ -781,15 +835,15 @@ class TestVerification:
         assert report.passed and report.n_checked == 0
 
     def test_vacuous_audit_still_probes_outside_exact(self, session):
-        # no interior sample, but the matrix just past the moved-in upper
-        # bound is still stable
+        # no interior sample, but the matrix at the moved-in upper bound is
+        # stable, with no eigenvalue on the jw-axis
         iv = exact_bounds(session.model)
         inward = dataclasses.replace(iv, upper=0.5 * iv.upper)
         with pytest.warns(UserWarning, match="vacuous"):
             report = verify_interval(session.model, inward, 0)
         assert not report.passed and report.n_checked == 0 and report.crossings == ()
-        assert [d for d, _ in report.failures] == [inward.upper * (1 + 1e-3)]
-        assert report.notes == "expected instability just outside the exact bound"
+        assert [d for d, _ in report.failures] == [inward.upper]
+        assert report.notes == "expected an eigenvalue on the jw-axis at the exact bound"
 
     @pytest.mark.parametrize("upper", [0.1, -0.1])
     def test_empty_interval_passes_unsampled(self, session, upper):
@@ -833,12 +887,14 @@ class TestSplitAudit:
         monkeypatch.setattr(threading, "Thread", Recorded)
         return alive
 
-    # one worker per call, for the second half, once a half holds more than
-    # GIL_FREE_SIZE / n deltas: 25 x 8 = 200 does not, 100 x 8 and 25 x 24 do
+    # one worker per pair of stacks, once a half holds more than GIL_FREE_SIZE
+    # / n deltas (25 x 8 = 200 does not, 100 x 8 and 25 x 24 do), and never
+    # more than one alive: 50 deltas make stacks of 16 at n = 64, 4 at n = 128
     @pytest.mark.parametrize(
         "n, k, workers",
-        [(8, 50, 0), (8, 200, 1), (24, 50, 1), (32, 50, 1), (64, 50, 1), (128, 50, 1)],
-        ids=["8-0", "8-200-1", "24-1", "32-1", "64-1", "128-1"],
+        [(8, 50, 0), (8, 200, 1), (24, 50, 1), (32, 50, 1), (64, 50, 2), (128, 50, 6),
+         (32, 2000, 16)],
+        ids=["8-0", "8-200-1", "24-1", "32-1", "64-1", "128-1", "32-2000-1"],
     )
     def test_equals_serial_eigvals(self, monkeypatch, n, k, workers):
         model = random_rank_one_model(np.random.default_rng(0), n)
@@ -852,6 +908,35 @@ class TestSplitAudit:
         assert got.tobytes() == reference.tobytes()
         assert alive == [1] * workers
         assert threading.active_count() == before
+
+    def test_stacks_bounded_and_built_on_caller(self, monkeypatch):
+        # 20000 deltas at n = 8: stacks of at most 1024 matrices, never more
+        # than two of them alive, all built on the calling thread
+        model = random_rank_one_model(np.random.default_rng(0), 8)
+        deltas = np.linspace(-1.0, 1.0, 20000)
+        build, solve = criteria.closed_loop_matrix, np.linalg.eigvals
+        stacks, sizes, builders = [], [], set()
+
+        def built(model, delta):
+            builders.add(threading.get_ident())
+            stack = build(model, delta)
+            stacks.append(weakref.ref(stack))
+            assert sum(ref() is not None for ref in stacks) <= 2
+            return stack
+
+        def solved(a):
+            sizes.append(len(a))
+            return solve(a)
+
+        monkeypatch.setattr(criteria, "closed_loop_matrix", built)
+        monkeypatch.setattr(np.linalg, "eigvals", solved)
+        before = threading.active_count()
+        alive = self.record_workers(monkeypatch)
+        criteria._max_real_parts(model, deltas)
+        assert builders == {threading.get_ident()}
+        assert sum(sizes) == deltas.size
+        assert max(sizes) <= max(STACK_BYTES // (8 * 8 * 8), GIL_FREE_SIZE // 8 + 1)
+        assert alive == [1] * 10 and threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_worker_failure_is_raised(self, monkeypatch, cpus):
