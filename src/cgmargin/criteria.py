@@ -61,10 +61,10 @@ _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 # parabola step in log w before the first certificate solve
 SEED_RTOL = 1e-3
 
-# Popov slopes are searched on [-Q_MAX, Q_MAX].  The cutting planes start
-# from the samples plus each real-axis crossing w* of M and w*(1 +- SEED_EPS):
-# a smooth optimum binds where w Im M = 0, and that trio cuts it to O(SEED_EPS)
-Q_MAX = 1e4
+# Popov slopes lie in [-Q_MAX, Q_MAX]: past it an intercept still falling as K/|q|
+# moves by at most K * CERT_RTOL (K = 0.28 for c = 1 where M'(0) = 0).  The cuts
+# start from the samples and each real-axis crossing w* of M at w*(1 +- SEED_EPS)
+Q_MAX = 1.0 / CERT_RTOL
 SEED_EPS = 1e-6
 
 # verify_interval's eigen solves run on two threads when two CPUs are free
@@ -145,21 +145,29 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(u), omegas[i - 1][ok], omegas[i + 1][ok])
 
 
-def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.ndarray):
+def _certified_max(M: StateSpace, f, crossings, limit, omegas: np.ndarray, values: np.ndarray):
     """(bound, w, M(jw)): sup of f(M(jw), w) over [0, wmax], certified.
 
     ``values`` are samples of M(jw) at ``omegas``, sorted, w = 0 and wmax =
     omegas[-1] among them.  ``crossings(level)`` returns the w >= 0 where
-    f(M(jw), w) = level.  Start from the largest of the samples and of the
-    parabola seeds (``_parabola_seeds``) and let tol = CERT_RTOL * |level|.
-    Each round finds the crossings of level + tol in [0, wmax].  As f <=
-    level at every point evaluated, w = 0 and wmax among them, f exceeds
-    level + tol only strictly between two consecutive crossings, and then on
-    the whole interval between them; so PER_INTERVAL points inside each
-    such interval are evaluated, and the level is raised to their max.  Once
-    nothing evaluated exceeds level + tol, or fewer than two crossings
-    remain, level + tol bounds f on [0, wmax].  Also returns every point
-    evaluated, the seeds among them, with its M(jw).
+    f(M(jw), w) = level, and ``limit`` is f as w -> inf.  Start from the
+    largest of the samples and of the parabola seeds (``_parabola_seeds``)
+    and let tol = CERT_RTOL * |level|.  Each round finds the crossings of
+    level + tol in [0, wmax].  As f <= level at every point evaluated, w = 0
+    and wmax among them, f exceeds level + tol only strictly between two
+    consecutive crossings, and then on the whole interval between them; so
+    PER_INTERVAL points inside each such interval are evaluated, and the
+    level is raised to their max.  Once nothing evaluated exceeds level +
+    tol, or fewer than two crossings remain, level + tol bounds f on [0,
+    wmax].  Also returns every point evaluated, the seeds among them, with
+    its M(jw).
+
+    As f < level + tol at w = 0 and at wmax, the crossings pair up in [0,
+    wmax], so an odd count shows a lost one.  Near the limit the level's
+    solve has a small feedthrough d (``imaginary_zeros`` takes a rounding
+    zero as 0) and can lose crossings that the limit's own solve, d = 0,
+    keeps: at margin 0.01 the aircraft's circle loses the one at 1e-4
+    rad/s.  Such a round adds {0, wmax} and the limit's crossings.
     """
     wmax = omegas[-1]
     fv = f(values, omegas)
@@ -171,7 +179,10 @@ def _certified_max(M: StateSpace, f, crossings, omegas: np.ndarray, values: np.n
     for _ in range(CERT_ROUNDS):
         z = crossings(level + tol)
         z = z[z <= wmax]
-        if z.size < 2:
+        if z.size % 2:
+            z = np.sort(np.concatenate([[0.0, wmax], z, crossings(limit)]))
+            z = z[(z <= wmax) & (np.diff(z, prepend=-1.0) > 0)]
+        elif z.size < 2:
             break
         w = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
         m = freq_values(M, w)
@@ -226,7 +237,7 @@ def _minimax_line(a: np.ndarray, b: np.ndarray, lo: float, hi: float, quad: bool
 
 
 def _modulus_level(M: StateSpace, x_c: float):
-    """(f, crossings) for f(M(jw), w) = |M(jw) - x_c|.
+    """(f, crossings, limit) for f(M(jw), w) = |M(jw) - x_c|, with limit |x_c| as w -> inf.
 
     ``crossings(r)`` returns the w where f = r: the jw-axis zeros of
     r^2 - G(-s) G(s) for G = M - x_c, realized as G(-s) in series after G(s).
@@ -235,11 +246,15 @@ def _modulus_level(M: StateSpace, x_c: float):
     A = np.block([[H, np.zeros_like(H)], [np.outer(b, c), -H]])
     B = np.concatenate([b, -x_c * b])
     C = np.concatenate([x_c * c, c])
-    return (lambda m, w: np.abs(m - x_c)), (lambda r: imaginary_zeros(A, B, C, r * r - x_c * x_c))
+    return (
+        lambda m, w: np.abs(m - x_c),
+        lambda r: imaginary_zeros(A, B, C, r * r - x_c * x_c),
+        abs(x_c),
+    )
 
 
 def _popov_level(M: StateSpace, q: float, side: int):
-    """(f, crossings) for f(M(jw), w) = side * Re[(1 + jqw) M(jw)].
+    """(f, crossings, limit) for f(M(jw), w) = side * Re[(1 + jqw) M(jw)], limit side * q cb.
 
     ``crossings(L)`` returns the w where f = L: with F = (1 + qs) M =
     (H, b, c + q cH, q cb), the jw-axis zeros of 2L - side * (F(s) + F(-s)).
@@ -254,6 +269,7 @@ def _popov_level(M: StateSpace, q: float, side: int):
     return (
         lambda m, w: side * (m.real - q * w * m.imag),
         lambda level: imaginary_zeros(A, B, C, 2.0 * (level - asymptote)),
+        asymptote,
     )
 
 

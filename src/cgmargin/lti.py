@@ -43,6 +43,11 @@ MARKOV_RTOL = 1e-10
 # matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
 # may be huge, and the certificates never ask for a zero at the origin)
 AXIS_RTOL = 1e-8
+# a feedthrough d with |d| |A| <= D_RTOL |b| |c| is a rounding zero, solved
+# as d = 0: there b c / d outweighs A by 1/D_RTOL, and the d != 0 solve loses
+# on-axis zeros (0.20 and 2.20 rad/s of -Re M on the aircraft, whose M(0) = 0
+# comes out as 2.9e-14, at ratios up to 2.9e-12; no benchmark solve is below 3.2e-9)
+D_RTOL = 1e-10
 
 
 def _real_poly(roots) -> np.ndarray:
@@ -410,7 +415,8 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
 def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw:
     the zeros of ``_zero_dynamics`` on the jw-axis (a multiple zero may fall
-    off it).  A function that is identically zero, or constant, has none."""
+    off it), with d within D_RTOL of 0 taken as 0.  A function that is
+    identically zero, or constant, has none."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -420,6 +426,8 @@ def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     if d != 0.0 and not b.any():
         # the constant d: A's eigenvalues would cancel the poles
         return np.empty(0)
+    if abs(d) * np.linalg.norm(A) <= D_RTOL * np.linalg.norm(b) * np.linalg.norm(c):
+        d = 0.0
     lam = _zero_dynamics(A, b, c, d)[0]
     on_axis = np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)
     # not np.unique: it imports numpy.ma (numpy 2.4), 14 ms and 1.4 MiB per CLI run

@@ -30,7 +30,7 @@ from cgmargin.lti import (
     imaginary_zeros,
     ss_from_zpk,
 )
-from cgmargin.mdelta import closed_loop_matrix, model_of
+from cgmargin.mdelta import closed_loop_matrix, closed_loop_uncertain, model_of
 from cgmargin.pipeline import (
     CRITERION_TABLE,
     AnalysisConfig,
@@ -115,6 +115,8 @@ def _touch_model(seed, at_origin):
 
 
 AIRCRAFT_MARGIN = 0.005
+# perfbench's containment tolerances: a graphical bound may sit on the exact one
+CONTAIN_REL, CONTAIN_ABS = 1e-5, 1e-6
 HARD_CASES = ("relative_degree_3", "cb_zero", "light_damping", "jordan_block",
               "random_n128", "flat_at_origin", "aircraft_margin")
 
@@ -235,9 +237,9 @@ def _recorded_grids(monkeypatch):
     grids = []
     certified_max = criteria._certified_max
 
-    def recorded(M, f, crossings, omegas, values):
+    def recorded(M, f, crossings, limit, omegas, values):
         grids.append(omegas)
-        return certified_max(M, f, crossings, omegas, values)
+        return certified_max(M, f, crossings, limit, omegas, values)
 
     monkeypatch.setattr(criteria, "_certified_max", recorded)
     return grids
@@ -449,19 +451,52 @@ class TestCertificate:
         r_sg = small_gain_bounds(s).witnesses["r_sg"]
         circle = circle_bounds(s).witnesses
         pr = positive_real_bounds(s).witnesses
-        if case in ("cb_zero", "flat_at_origin"):
-            # one side's Popov optimum lies at |q| -> inf, past the searched
-            # slopes: phi still falls at the end of the range
-            with pytest.warns(UserWarning, match="not shown optimal"):
-                popov = popov_bounds(s).witnesses
-        else:
-            popov = popov_bounds(s).witnesses
+        popov = popov_bounds(s).witnesses
         assert np.abs(m).max() <= r_sg + slack
         assert np.abs(m - circle["x_c"]).max() <= circle["r_c"] + slack
         assert pr["x_min"] - slack <= m.real.min() and m.real.max() <= pr["x_max"] + slack
         for q, c, side in ((popov["q_plus"], popov["c_plus"], 1), (popov["q_minus"], popov["c_minus"], -1)):
             f = side * (m.real - q * w * m.imag)
             assert f.max() <= side * c + 1e-9 * np.abs(f).max()
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    def test_flat_origin_popov_reaches_exact(self):
+        # M'(0) = 0: Popov lower's optimum lies at |q| -> inf, and at |q| =
+        # Q_MAX = 1/CERT_RTOL it is -1/M(0) = -1.0 to within the certificate
+        s = sample_locus(_hard_case("flat_at_origin").M)
+        assert popov_bounds(s).lower == pytest.approx(-1.0, rel=2 * criteria.CERT_RTOL)
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    def test_popov_warns_past_slope_range(self, monkeypatch):
+        # on a range that stops short of that optimum, phi still falls at its end
+        monkeypatch.setattr(criteria, "Q_MAX", 1e4)
+        s = sample_locus(_hard_case("flat_at_origin").M)
+        with pytest.warns(UserWarning, match="still falls past \\|q\\| = 10000.0"):
+            popov_bounds(s)
+
+    @pytest.mark.parametrize("margin, npoints, scale", [
+        (0.0, 2, 1.0), (0.0, 4, 1.0), (0.0, 6, 1.0), (0.01, 2, 1.0), (0.0, 2, 1e3), (0.01, 2, 1e3)])
+    def test_sparse_grid_sound(self, margin, npoints, scale):
+        # with no sample in the bulk of the aircraft's locus, whose M(0) and
+        # M(j inf) are both 0 at margin 0, the level sits at the limit of f
+        # as w -> inf, where the level's crossing solve can lose crossings:
+        # positive real upper (margin 0) or the circle (margin 0.01) would
+        # read past exact.  M scaled by 1e3 (delta by 1e-3) puts M(0) at 2.9e-11
+        for kq in (1.3, 1.6, 1.9):
+            for gain in (2.6, 3.14, 3.7):
+                config = AnalysisConfig(
+                    kq=kq, controller_gain=gain, stability_margin=margin, npoints=npoints)
+                session = build_session(config)
+                H, Qcal = closed_loop_uncertain(session.augmented, session.controller)
+                model = model_of(H, scale * Qcal, margin)
+                intervals, reports = analyze_model(model, sample_locus(model.M, n=npoints), config)
+                exact = intervals["exact"]
+                lower_tol = CONTAIN_REL * abs(exact.lower) + CONTAIN_ABS / scale
+                upper_tol = CONTAIN_REL * abs(exact.upper) + CONTAIN_ABS / scale
+                for name, iv in intervals.items():
+                    assert iv.lower >= exact.lower - lower_tol, (kq, gain, name)
+                    assert iv.upper <= exact.upper + upper_tol, (kq, gain, name)
+                assert all(r.passed for r in reports.values()), (kq, gain)
 
 
 class TestSmallGain:
