@@ -241,11 +241,14 @@ def _modulus_level(M: StateSpace, x_c: float):
 
     ``crossings(r)`` returns the w where f = r: the jw-axis zeros of
     r^2 - G(-s) G(s) for G = M - x_c, realized as G(-s) in series after G(s).
+    G(-s)'s states are scaled by k = |H| / (|b| |c|): the coupling k b c is the
+    size of H, so rounding zeros (``lti.D_RTOL``) are the same at any scale of M.
     """
     H, b, c = M.A, M.B[:, 0], M.C[0]
-    A = np.block([[H, np.zeros_like(H)], [np.outer(b, c), -H]])
-    B = np.concatenate([b, -x_c * b])
-    C = np.concatenate([x_c * c, c])
+    k = np.linalg.norm(H) / (np.linalg.norm(b) * np.linalg.norm(c))
+    A = np.block([[H, np.zeros_like(H)], [k * np.outer(b, c), -H]])
+    B = np.concatenate([b, -k * x_c * b])
+    C = np.concatenate([x_c * c, c / k])
     return (
         lambda m, w: np.abs(m - x_c),
         lambda r: imaginary_zeros(A, B, C, r * r - x_c * x_c),

@@ -13,7 +13,9 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., 14.6.1).
 ``StateSpace.evaluate`` stays one dense LU solve per point.  A system
 caches three facts on first use: its spectrum (``poles``), that Hessenberg
 form (``controller_hessenberg``) and where its response is real
-(``real_crossings``).
+(``real_crossings``).  Whether a value of a response is a rounding zero is
+decided on the scale |b| |c| / |A| of its realization (``D_RTOL``), so what
+is read off M scales with M, whatever the units of delta.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ MARKOV_RTOL = 1e-10
 # matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
 # may be huge, and the certificates never ask for a zero at the origin)
 AXIS_RTOL = 1e-8
-# a feedthrough d with |d| |A| <= D_RTOL |b| |c| is a rounding zero, solved
-# as d = 0: there b c / d outweighs A by 1/D_RTOL, and the d != 0 solve loses
-# on-axis zeros (0.20 and 2.20 rad/s of -Re M on the aircraft, whose M(0) = 0
-# comes out as 2.9e-14, at ratios up to 2.9e-12; no benchmark solve is below 3.2e-9)
+# a value x of c (sI - A)^-1 b + d with |x| |A| <= D_RTOL |b| |c| is a rounding
+# zero at any scale.  Such a feedthrough d is solved as d = 0 (imaginary_zeros):
+# b c / d outweighs A by 1/D_RTOL, and the d != 0 solve loses on-axis zeros (0.20
+# and 2.20 rad/s of -Re M on the aircraft, at ratios up to 2.9e-12; no benchmark
+# solve is below 3.2e-9).  Such a real value of M(jw) is no crossing (real_crossings:
+# the aircraft's M(0) = 0 is at 1.4e-12; no benchmark crossing is below 6.5e-4)
 D_RTOL = 1e-10
 
 
@@ -147,13 +151,15 @@ class StateSpace:
 
     @cached_property
     def real_crossings(self) -> tuple:
-        """Every (w, x) with x = M(jw) real, w >= 0 and |x| > 1e-12 (SISO): w = 0
-        and the jw-axis zeros of M(s) - M(-s), realized as (diag(A, -A), [b; b],
-        [c, c]), plus each zero z within sqrt(AXIS_RTOL) * |z| of the axis where
-        M(jw) is real to AXIS_RTOL * |M(jw)|: where M(jw) touches the real axis
-        the zero is double, and leaves the axis by about sqrt(eps).  On M(s - m),
-        built at a stability margin m, these are the crossings on Re s = -m.
-        Computed on first use and kept."""
+        """Every (w, x) with x = M(jw) real, w >= 0 and x not a rounding zero
+        (D_RTOL; SISO): w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
+        (diag(A, -A), [b; b], [c, c]), plus each zero z within sqrt(AXIS_RTOL) *
+        |z| of the axis where M(jw) is real to AXIS_RTOL * |M(jw)|: where M(jw)
+        touches the real axis the zero is double, and splits in two about
+        sqrt(eps) apart.  A run of crossings each within sqrt(AXIS_RTOL) * w of
+        the next is one crossing, at the run's midpoint, where M is real there.
+        On M(s - m), built at a stability margin m, these are the crossings on
+        Re s = -m.  Computed on first use and kept."""
         A, b, c, zero = self.A, self.B[:, 0], self.C[0], np.zeros_like(self.A)
         A2 = np.block([[A, zero], [zero, -A]])
         z = _zero_dynamics(A2, np.concatenate([b, b]), np.concatenate([c, c]), 0.0)[0]
@@ -161,8 +167,16 @@ class StateSpace:
         z = np.concatenate([[0.0], z[np.argsort(z.imag)]])
         m = freq_values(self, z.imag)
         keep = (np.abs(z.real) <= AXIS_RTOL * np.abs(z)) | (np.abs(m.imag) <= AXIS_RTOL * np.abs(m))
-        keep &= (np.diff(z.imag, prepend=-1.0) > 0) & (np.abs(m.real) > 1e-12)   # drop repeats
-        return tuple(zip(z.imag[keep].tolist(), m.real[keep].tolist()))
+        keep &= np.abs(m.real) * np.linalg.norm(A) > D_RTOL * np.linalg.norm(b) * np.linalg.norm(c)
+        w, x = z.imag[keep], m.real[keep]
+        gaps = np.flatnonzero(np.diff(w) > math.sqrt(AXIS_RTOL) * w[1:]) + 1
+        runs = [r for r in np.split(np.arange(w.size), gaps) if r.size > 1]
+        mid = np.array([0.5 * (w[r[0]] + w[r[-1]]) for r in runs])
+        for r, wm, xm in zip(runs, mid, freq_values(self, mid)):
+            if abs(xm.imag) <= AXIS_RTOL * abs(xm):
+                w[r], x[r] = wm, xm.real
+        keep = np.diff(w, prepend=-1.0) > 0   # drop repeats, merged runs among them
+        return tuple(zip(w[keep].tolist(), x[keep].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +429,8 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
 def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw:
     the zeros of ``_zero_dynamics`` on the jw-axis (a multiple zero may fall
-    off it), with d within D_RTOL of 0 taken as 0.  A function that is
-    identically zero, or constant, has none."""
+    off it), with a d that is a rounding zero (D_RTOL) taken as 0.  A
+    function that is identically zero, or constant, has none."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)

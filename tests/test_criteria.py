@@ -475,13 +475,16 @@ class TestCertificate:
             popov_bounds(s)
 
     @pytest.mark.parametrize("margin, npoints, scale", [
-        (0.0, 2, 1.0), (0.0, 4, 1.0), (0.0, 6, 1.0), (0.01, 2, 1.0), (0.0, 2, 1e3), (0.01, 2, 1e3)])
+        (0.0, 2, 1.0), (0.0, 4, 1.0), (0.0, 6, 1.0), (0.01, 2, 1.0), (0.0, 2, 1e3), (0.01, 2, 1e3),
+        (0.0, 2, 1e-6), (0.0, 4, 1e-6), (0.01, 2, 1e-6), (0.0, 2, 1e6)])
     def test_sparse_grid_sound(self, margin, npoints, scale):
         # with no sample in the bulk of the aircraft's locus, whose M(0) and
         # M(j inf) are both 0 at margin 0, the level sits at the limit of f
         # as w -> inf, where the level's crossing solve can lose crossings:
         # positive real upper (margin 0) or the circle (margin 0.01) would
-        # read past exact.  M scaled by 1e3 (delta by 1e-3) puts M(0) at 2.9e-11
+        # read past exact.  M scaled by 1e3 (delta by 1e-3) puts M(0) at 2.9e-11.
+        # Scaled by 1e-6 or 1e6, small gain and the circle read past exact
+        # unless the circle's solve is realized on the same scale as M's
         for kq in (1.3, 1.6, 1.9):
             for gain in (2.6, 3.14, 3.7):
                 config = AnalysisConfig(
@@ -714,14 +717,14 @@ class TestExact:
         (True, (4, 9, 14)), (False, (2, 3, 9, 12, 14, 15, 16, 17, 18)),
     ], ids=["m0", "free"])
     def test_tangential_touch_found(self, at_origin, binding):
-        # a double zero of M(s) - M(-s) is found to about sqrt(eps), and Re M
-        # moves with it: the bound reads 0.2 less up to 1.2e-7 on these seeds
+        # a double zero of M(s) - M(-s) is found to about sqrt(eps) and splits
+        # in two; the pair is one crossing at its midpoint, where M is real
         for seed in range(20):
             model = _touch_model(seed, at_origin)
             iv = exact_bounds(model)
             assert iv.upper <= 0.2 + 1e-7, seed
             if seed in binding:
-                assert iv.upper == pytest.approx(0.2, abs=2e-7 if at_origin else 1e-8), seed
+                assert iv.upper == pytest.approx(0.2, abs=1e-8), seed
                 if at_origin:
                     assert verify_interval(model, iv, 50).passed, seed
 
@@ -1067,6 +1070,41 @@ class TestStabilityMargin:
             "positive_real": pytest.approx((-5.44837, 0.499802), rel=1e-5),
             "popov": pytest.approx((-8.70534, 0.50087), rel=1e-5),
         }
+
+
+def _unit_models():
+    """(H, Qcal) of the aircraft and of the first four random 32-state models."""
+    session = build_session(AnalysisConfig())
+    rng = np.random.default_rng(0)
+    randoms = [random_rank_one_model(rng, 32) for _ in range(4)]
+    return [(session.model.H, session.model.Qcal)] + [(m.H, m.Qcal) for m in randoms]
+
+
+class TestUnits:
+    # witnesses in the units of M; Popov's slopes are in those of 1/w
+    SCALED = ("r_sg", "x_c", "r_c", "x_max", "x_min", "c_plus", "c_minus")
+
+    @pytest.mark.parametrize("index", range(5), ids=["aircraft", *(f"random{k}" for k in range(4))])
+    def test_intervals_scale_with_delta(self, index):
+        # delta in other units is Qcal scaled by alpha: every interval scales
+        # by 1/alpha and every witness in the units of M by alpha, whatever alpha
+        H, Qcal = _unit_models()[index]
+
+        def analyze(alpha):
+            model = model_of(H, alpha * Qcal)
+            return analyze_model(model, sample_locus(model.M), AnalysisConfig())
+
+        base = analyze(1.0)[0]
+        for alpha in (1e-12, 1e-6, 1e6, 1e12):
+            intervals, reports = analyze(alpha)
+            for name, iv in intervals.items():
+                want = base[name]
+                assert iv.lower * alpha == pytest.approx(want.lower, rel=1e-10), (alpha, name)
+                assert iv.upper * alpha == pytest.approx(want.upper, rel=1e-10), (alpha, name)
+                for key in set(self.SCALED) & set(iv.witnesses):
+                    assert iv.witnesses[key] / alpha == pytest.approx(
+                        want.witnesses[key], rel=1e-10), (alpha, name, key)
+            assert all(r.passed for r in reports.values()), alpha
 
 
 class TestAnalyzeModel:
