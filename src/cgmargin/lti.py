@@ -54,18 +54,6 @@ AXIS_RTOL = 1e-8
 D_RTOL = 1e-10
 
 
-def _real_poly(roots) -> np.ndarray:
-    """Monic real polynomial (descending coefficients) with the given roots.
-
-    Built by incremental root multiplication; the imaginary residue left by
-    a conjugate-closed root set is discarded.
-    """
-    coeffs = np.array([1.0 + 0.0j])
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -complex(r)]))
-    return coeffs.real.copy()
-
-
 def _check_conjugate_closed(roots, what: str) -> None:
     pool = [complex(r) for r in roots if abs(complex(r).imag) > CONJUGATE_TOL]
     while pool:
@@ -223,9 +211,11 @@ def ss_from_zpk(zeros, poles, gain: float) -> StateSpace:
         )
     if n == 0:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[float(gain)]])
-    # _real_poly is monic: the denominator needs no scaling, and num[0] is D
-    a = _real_poly(poles)[1:]
-    num = np.concatenate([np.zeros(n - len(zeros)), float(gain) * _real_poly(zeros)])
+    # np.poly is monic: the denominator needs no scaling, and num[0] is D; the
+    # imaginary residue of a conjugate-closed root set is discarded
+    a = np.poly(np.asarray(poles, dtype=complex)).real[1:]
+    num = float(gain) * np.atleast_1d(np.poly(np.asarray(zeros, dtype=complex)).real)
+    num = np.concatenate([np.zeros(n - len(zeros)), num])
     A = np.zeros((n, n))
     A[0, :] = -a
     A[1:, :-1] = np.eye(n - 1)

@@ -222,11 +222,14 @@ def _report_rows(text: str) -> list:
 def parse_report_csv(text: str) -> dict:
     """Read back the intervals written by format_report_csv from their bounds
     alone (a side is unbounded exactly when its bound is -inf or inf), in
-    CRITERIA order.  A row
-    that names no criterion, repeats one, or lacks two numeric bounds, raises
-    ValueError naming its line."""
+    CRITERIA order.  A report with no rows raises ValueError, and so does a
+    row that names no criterion, repeats one, or lacks two numeric bounds,
+    naming its line."""
+    rows = _report_rows(text)[1:]
+    if not rows:
+        raise ValueError("the report holds no interval rows")
     intervals: dict[str, StabilityInterval] = {}
-    for lineno, line, fields in _report_rows(text)[1:]:
+    for lineno, line, fields in rows:
         if fields[0] not in CRITERIA:
             raise ValueError(f"line {lineno} names no criterion of {', '.join(CRITERIA)}: {line!r}")
         if fields[0] in intervals:

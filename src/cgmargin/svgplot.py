@@ -17,6 +17,15 @@ from __future__ import annotations
 WIDTH = 800
 HEIGHT = 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 65, 25, 45, 55
+DASHED = 'stroke="#b03030" stroke-width="1.5" stroke-dasharray="6 4"'
+LABEL = 'font-family="sans-serif" font-size="11"'
+# (x, y, anchor) of the labels of the data window's x0, x1, y0 and y1
+CORNERS = (
+    (MARGIN_L, HEIGHT - MARGIN_B + 18, ""),
+    (WIDTH - MARGIN_R, HEIGHT - MARGIN_B + 18, ' text-anchor="end"'),
+    (MARGIN_L - 6, HEIGHT - MARGIN_B, ' text-anchor="end"'),
+    (MARGIN_L - 6, MARGIN_T + 10, ' text-anchor="end"'),
+)
 
 
 def rows_to_csv(rows) -> str:
@@ -35,136 +44,89 @@ def csv_to_rows(text: str):
     return rows
 
 
-def _data_bounds(rows):
-    xs, ys = [], []
-    for kind, a, b, c in rows:
-        if kind == "sample":
-            xs.append(b)
-            ys.append(c)
-        elif kind == "circle":
-            xs.extend([a - b, a + b])
-            ys.extend([-b, b])
-        elif kind == "marker":
-            xs.append(a)
-        elif kind == "line":
-            xs.append(b)
-    xs.append(0.0)
-    ys.append(0.0)
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    padx = 0.08 * (x1 - x0 or 1.0)
-    pady = 0.08 * (y1 - y0 or 1.0)
-    return x0 - padx, x1 + padx, y0 - pady, y1 + pady
-
-
 class _Mapper:
-    def __init__(self, rows, equal_aspect: bool):
-        x0, x1, y0, y1 = _data_bounds(rows)
-        pw = WIDTH - MARGIN_L - MARGIN_R
-        ph = HEIGHT - MARGIN_T - MARGIN_B
-        sx = pw / (x1 - x0)
-        sy = ph / (y1 - y0)
+    """The pixel map of a data window that holds the samples (xs, ys), every
+    geometry row and the origin, padded by 8% of its span on each side.  With
+    equal_aspect the scales are equal and the slack dimension is recentered."""
+
+    def __init__(self, xs, ys, geometry, equal_aspect: bool):
+        xs, ys = xs + [0.0], ys + [0.0]
+        for kind, a, b, _ in geometry:
+            if kind == "circle":
+                xs += a - b, a + b
+                ys += -b, b
+            elif kind == "marker":
+                xs.append(a)
+            elif kind == "line":   # through (b, 0)
+                xs.append(b)
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        padx, pady = 0.08 * (x1 - x0 or 1.0), 0.08 * (y1 - y0 or 1.0)
+        x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+        pw, ph = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+        sx, sy = pw / (x1 - x0), ph / (y1 - y0)
         if equal_aspect:
-            s = min(sx, sy)
-            sx = sy = s
-            # recenter the slack dimension
+            sx = sy = s = min(sx, sy)
             xmid, ymid = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             x0, x1 = xmid - 0.5 * pw / s, xmid + 0.5 * pw / s
             y0, y1 = ymid - 0.5 * ph / s, ymid + 0.5 * ph / s
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
         self.sx, self.sy = sx, sy
 
-    def px(self, x: float) -> float:
-        return MARGIN_L + (x - self.x0) * self.sx
-
-    def py(self, y: float) -> float:
-        return HEIGHT - MARGIN_B - (y - self.y0) * self.sy
-
-
-def _f(v: float) -> str:
-    return f"{v:.2f}"
+    def __call__(self, xs, ys):
+        """Pixel coordinates of the data points (xs, ys), as two lists."""
+        x0, y0, sx, sy = self.x0, self.y0, self.sx, self.sy
+        return ([MARGIN_L + (x - x0) * sx for x in xs],
+                [HEIGHT - MARGIN_B - (y - y0) * sy for y in ys])
 
 
 def render_svg(rows, title: str, xlabel: str, ylabel: str, equal_aspect: bool = True) -> str:
-    m = _Mapper(rows, equal_aspect)
+    """SVG text of the figure that rows describe: the samples as one polyline,
+    then each circle, line and marker in row order, over the axes through the
+    origin and labels of the data window's corners."""
+    xs, ys, geometry = [], [], []
+    for row in rows:
+        if row[0] == "sample":
+            xs.append(row[2])
+            ys.append(row[3])
+        else:
+            geometry.append(row)
+    m = _Mapper(xs, ys, geometry, equal_aspect)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" '
-        f'width="{WIDTH - MARGIN_L - MARGIN_R}" '
-        f'height="{HEIGHT - MARGIN_T - MARGIN_B}" '
-        f'fill="none" stroke="black" stroke-width="1"/>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
+        f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black" stroke-width="1"/>',
         f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{xlabel}</text>',
-        f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {HEIGHT // 2})">{ylabel}</text>',
+        f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 18 {HEIGHT // 2})">{ylabel}</text>',
     ]
-    # axes through the origin
+    (ox,), (oy,) = m([0.0], [0.0])
     if m.x0 < 0 < m.x1:
-        x = _f(m.px(0.0))
-        out.append(
-            f'<line x1="{x}" y1="{MARGIN_T}" x2="{x}" '
-            f'y2="{HEIGHT - MARGIN_B}" stroke="#bbbbbb" stroke-width="1"/>'
-        )
+        out.append(f'<line x1="{ox:.2f}" y1="{MARGIN_T}" x2="{ox:.2f}" '
+                   f'y2="{HEIGHT - MARGIN_B}" stroke="#bbbbbb" stroke-width="1"/>')
     if m.y0 < 0 < m.y1:
-        y = _f(m.py(0.0))
-        out.append(
-            f'<line x1="{MARGIN_L}" y1="{y}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{y}" stroke="#bbbbbb" stroke-width="1"/>'
-        )
-    # corner annotations of the data window
-    out.append(
-        f'<text x="{MARGIN_L}" y="{HEIGHT - MARGIN_B + 18}" '
-        f'font-family="sans-serif" font-size="11">{m.x0:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{WIDTH - MARGIN_R}" y="{HEIGHT - MARGIN_B + 18}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="11">'
-        f"{m.x1:.4g}</text>"
-    )
-    out.append(
-        f'<text x="{MARGIN_L - 6}" y="{HEIGHT - MARGIN_B}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{m.y0:.4g}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_L - 6}" y="{MARGIN_T + 10}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11">{m.y1:.4g}</text>'
-    )
-
-    samples = [(b, c) for kind, a, b, c in rows if kind == "sample"]
-    if samples:
-        x0, y0, sx, sy = m.x0, m.y0, m.sx, m.sy   # m.px and m.py inline, per sample
-        pts = " ".join(f"{MARGIN_L + (x - x0) * sx:.2f},{HEIGHT - MARGIN_B - (y - y0) * sy:.2f}"
-                       for x, y in samples)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" '
-            f'stroke-width="1.5"/>'
-        )
-    for kind, a, b, c in rows:
+        out.append(f'<line x1="{MARGIN_L}" y1="{oy:.2f}" x2="{WIDTH - MARGIN_R}" '
+                   f'y2="{oy:.2f}" stroke="#bbbbbb" stroke-width="1"/>')
+    out += [f'<text x="{x}" y="{y}"{anchor} {LABEL}>{v:.4g}</text>'
+            for (x, y, anchor), v in zip(CORNERS, (m.x0, m.x1, m.y0, m.y1))]
+    if xs:
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(*m(xs, ys)))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.5"/>')
+    for kind, a, b, _ in geometry:
         if kind == "circle":
-            out.append(
-                f'<circle cx="{_f(m.px(a))}" cy="{_f(m.py(0.0))}" '
-                f'r="{_f(b * m.sx)}" fill="none" stroke="#b03030" '
-                f'stroke-width="1.5" stroke-dasharray="6 4"/>'
-            )
+            (x,), (y,) = m([a], [0.0])
+            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{b * m.sx:.2f}" fill="none" {DASHED}/>')
         elif kind == "line":
             out.append(_clipped_line(m, a, b))
         elif kind == "marker":
-            x, y = m.px(a), m.py(0.0)
-            out.append(
-                f'<path d="M {_f(x - 5)} {_f(y)} L {_f(x + 5)} {_f(y)} '
-                f'M {_f(x)} {_f(y - 5)} L {_f(x)} {_f(y + 5)}" '
-                f'stroke="#207020" stroke-width="2"/>'
-            )
-            out.append(
-                f'<text x="{_f(x + 6)}" y="{_f(y - 6)}" '
-                f'font-family="sans-serif" font-size="11" '
-                f'fill="#207020">{a:.4g}</text>'
-            )
+            (x,), (y,) = m([a], [0.0])
+            out.append(f'<path d="M {x - 5:.2f} {y:.2f} L {x + 5:.2f} {y:.2f} '
+                       f'M {x:.2f} {y - 5:.2f} L {x:.2f} {y + 5:.2f}" stroke="#207020" stroke-width="2"/>')
+            out.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" {LABEL} fill="#207020">{a:.4g}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -189,9 +151,5 @@ def _clipped_line(m: _Mapper, q: float, c: float) -> str:
         pts = sorted(set(pts))[:2] if len(pts) >= 2 else pts
     if len(pts) < 2:
         return "<!-- line outside window -->"
-    (xa, ya), (xb, yb) = pts[0], pts[-1]
-    return (
-        f'<line x1="{_f(m.px(xa))}" y1="{_f(m.py(ya))}" '
-        f'x2="{_f(m.px(xb))}" y2="{_f(m.py(yb))}" stroke="#b03030" '
-        f'stroke-width="1.5" stroke-dasharray="6 4"/>'
-    )
+    (x1, x2), (y1, y2) = m(*zip(pts[0], pts[-1]))
+    return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {DASHED}/>'

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -266,6 +268,34 @@ class TestPlotCommand:
         assert d.max() <= r * (1 + 1e-9)
 
 
+class TestRender:
+    # one row of every kind; a slope of nan stands for a line that misses the
+    # window, since every finite line crosses the real axis inside it
+    ROWS = [("sample", *np.array(row)) for row in
+            [(0.1, 1.0, -0.25), (0.5, 0.4, -0.9), (2.0, -0.6, -0.7), (8.0, -1.1, 0.2)]]
+    ROWS += [("circle", -0.3, 1.1, 0.0), ("line", 0.0, 0.75, 0.0), ("line", 0.4, -1.2, 0.0),
+             ("line", float("nan"), 0.5, 0.0), ("marker", 0.8, 0.0, 0.0), ("marker", -1.4, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("equal_aspect, digest", [
+        (True, "7e0ac03346d4753e4f7088c0fab2be54080658c8e1e6462fd62dc03d3748b683"),
+        (False, "202a2f0ce38a35ec3ae228f8b7561cf6a89188184b0c2cab888b159ed4ead819"),
+    ], ids=["equal_aspect", "free_aspect"])
+    def test_golden_svg(self, equal_aspect, digest):
+        svg = svgplot.render_svg(self.ROWS, "Golden", "x", "y", equal_aspect=equal_aspect)
+        for element in ("<polyline ", "<circle ", "<line x1=", "<!-- line outside window -->",
+                        "<path d=", "</svg>"):
+            assert element in svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_csv_round_trip(self):
+        rows = svgplot.csv_to_rows(svgplot.rows_to_csv(self.ROWS))
+        assert all(type(v) is float for row in rows for v in row[1:])
+        np.testing.assert_array_equal([row[1:] for row in rows], [row[1:] for row in self.ROWS])
+        assert [row[0] for row in rows] == [row[0] for row in self.ROWS]
+        assert svgplot.render_svg(rows, "Golden", "x", "y") == svgplot.render_svg(
+            self.ROWS, "Golden", "x", "y")
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("command, option", [("verify", "--n-samples"), ("analyze", "--n-verify")])
     def test_negative_sample_count_rejected(self, runner, tmp_path, command, option):
@@ -367,6 +397,17 @@ class TestVerifyCommand:
             f"Error: {csv_path}: line 2 has no numeric lower and upper bound: "
             "'exact,-16.39,x,0,0,0.0,'\n"
         )
+
+    @pytest.mark.parametrize("text", ["", REPORT_HEADER, REPORT_HEADER + "\n"],
+                             ids=["empty", "header_only", "header_and_blank_line"])
+    def test_report_without_rows_is_one_error_line(self, runner, tmp_path, text):
+        # it has no margin to mismatch: the error names what it lacks
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(text)
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == f"Error: {csv_path}: the report holds no interval rows\n"
 
     @pytest.mark.parametrize("rows, error", [
         # criterion names are lower case
