@@ -1,14 +1,16 @@
 """Longitudinal aircraft model with an uncertain center-of-gravity location.
 
-Builds the linearized longitudinal equations of motion from flight-condition
-data and dimensionless aerodynamic derivatives, applies the inner-loop
-pitch stabilization, and produces the rank-1 perturbation matrices that
-capture a fore/aft c.g. shift of ``delta`` meters.
+A model is built in three steps: ``longitudinal_plant`` assembles the
+linearized longitudinal equations of motion from flight-condition data and
+dimensional derivatives (``dimensionalize``); ``build_uncertain_plant`` adds
+the rank-1 perturbation matrices that capture a fore/aft c.g. shift of
+``delta`` meters; ``augment_uncertain_plant`` closes the inner-loop pitch
+stabilization around both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -35,9 +37,9 @@ class FlightCondition:
     g: float = STANDARD_GRAVITY
 
     def __post_init__(self):
-        for name in ("V0", "m", "Iy", "rho", "S", "c", "g"):
-            if not 0 < getattr(self, name) < np.inf:   # nan fails too
-                raise ValueError(f"flight condition field {name} must be positive and finite")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < np.inf:   # nan fails too
+                raise ValueError(f"flight condition field {f.name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,13 @@ def dimensionalize(fc: FlightCondition, d: DimensionlessDerivatives) -> Dimensio
     )
 
 
-def assemble_longitudinal(fc: FlightCondition, dd: DimensionalDerivatives):
-    """Coefficient matrices of the implicit form  Mass * xdot = A_t x + B_t eta.
+def longitudinal_plant(fc: FlightCondition, dd: DimensionalDerivatives) -> StateSpace:
+    """Explicit state space A = Mass^-1 A_t, B = Mass^-1 B_t of the implicit
+    form  Mass * xdot = A_t x + B_t eta.
 
-    State order is (u, w, q, theta).  Row 4 is the kinematic relation
-    thetadot = q.
+    States are (u, w, q, theta), row 4 being the kinematic relation
+    thetadot = q; outputs are (theta, q, alpha) with alpha = w / V0; D = 0.
+    det Mass = m (m - Zwdot) Iy, so m - Zwdot > 0 makes Mass invertible.
     """
     m, V0, g, Iy = fc.m, fc.V0, fc.g, fc.Iy
     if m - dd.Zwdot <= 0:
@@ -157,19 +161,6 @@ def assemble_longitudinal(fc: FlightCondition, dd: DimensionalDerivatives):
         ]
     )
     B_t = np.array([[dd.Xeta], [dd.Zeta], [dd.Meta], [0.0]])
-    return Mass, A_t, B_t
-
-
-def to_state_space(Mass, A_t, B_t, V0: float) -> StateSpace:
-    """Explicit state-space form A = Mass^-1 A_t, B = Mass^-1 B_t.
-
-    States are (u, w, q, theta), outputs (theta, q, alpha) with alpha = w / V0; D = 0.
-    """
-    Mass = np.asarray(Mass, dtype=float)
-    if abs(np.linalg.det(Mass)) < 1e-300:
-        raise SingularMassMatrixError("mass matrix is singular")
-    A = np.linalg.solve(Mass, np.asarray(A_t, dtype=float))
-    B = np.linalg.solve(Mass, np.asarray(B_t, dtype=float))
     C = np.array(
         [
             [0.0, 0.0, 0.0, 1.0],
@@ -177,69 +168,40 @@ def to_state_space(Mass, A_t, B_t, V0: float) -> StateSpace:
             [0.0, 1.0 / V0, 0.0, 0.0],
         ]
     )
-    D = np.zeros((3, 1))
-    return StateSpace(A, B, C, D)
+    return StateSpace(np.linalg.solve(Mass, A_t), np.linalg.solve(Mass, B_t), C, np.zeros((3, 1)))
 
 
-def inner_loop_gain_row(Kq: float, Kalpha: float) -> np.ndarray:
-    """Static output-feedback row over outputs (theta, q, alpha)."""
-    return np.array([[0.0, Kq, Kalpha]])
-
-
-def inner_loop_stabilize(plant: StateSpace, Kq: float, Kalpha: float) -> StateSpace:
-    """Apply eta = eta_cmd - Kq*q - Kalpha*alpha and keep the theta output.
-
-    Negative feedback on pitch rate and angle of attack; the returned
-    system is the SISO elevator-to-attitude channel of the augmented
-    aircraft.
-    """
-    if plant.noutputs != 3:
-        raise ValueError("plant must expose outputs (theta, q, alpha)")
-    K = inner_loop_gain_row(Kq, Kalpha)
-    A = plant.A - plant.B @ K @ plant.C
-    C_theta = plant.C[:1, :]
-    return StateSpace(A, plant.B, C_theta, np.zeros((1, 1)))
-
-
-def perturbation_matrices(fc: FlightCondition, dd: DimensionalDerivatives):
-    """Rank-1 perturbation matrices (Q_A, Q_B) and the scale mu.
+def build_uncertain_plant(fc: FlightCondition, d: DimensionlessDerivatives) -> UncertainPlant:
+    """Open-loop (inner loop not yet closed) uncertain aircraft model.
 
     The perturbed model A + delta*Q_A, B + delta*Q_B agrees exactly with
     rebuilding the aircraft from the shifted derivatives: the
     delta-dependence of the mass matrix cancels identically against the
-    shifted pitching-moment rows.
+    shifted pitching-moment rows, leaving the scale mu = m / (Iy (m - Zwdot)).
     """
-    if fc.m - dd.Zwdot <= 0:
-        raise SingularMassMatrixError(
-            f"m - Zwdot = {fc.m - dd.Zwdot} <= 0; mass matrix not invertible"
-        )
+    dd = dimensionalize(fc, d)
+    nominal = longitudinal_plant(fc, dd)
     mu = fc.m / (fc.Iy * (fc.m - dd.Zwdot))
     Q_A = np.zeros((4, 4))
     Q_A[2, :] = -mu * np.array([dd.Zu, dd.Zw, dd.Zq + dd.Zwdot * fc.V0, 0.0])
     Q_B = np.zeros((4, 1))
     Q_B[2, 0] = -mu * dd.Zeta
-    return Q_A, Q_B, mu
-
-
-def build_uncertain_plant(fc: FlightCondition, d: DimensionlessDerivatives) -> UncertainPlant:
-    """Open-loop (inner loop not yet closed) uncertain aircraft model."""
-    dd = dimensionalize(fc, d)
-    Mass, A_t, B_t = assemble_longitudinal(fc, dd)
-    nominal = to_state_space(Mass, A_t, B_t, fc.V0)
-    Q_A, Q_B, _ = perturbation_matrices(fc, dd)
     return UncertainPlant(nominal=nominal, Q_A=Q_A, Q_B=Q_B)
 
 
 def augment_uncertain_plant(plant: UncertainPlant, Kq: float, Kalpha: float) -> UncertainPlant:
-    """Close the inner stabilization loop and map the perturbation through it.
+    """Close the inner loop eta = eta_cmd - Kq*q - Kalpha*alpha, keep the theta
+    output (the SISO elevator-to-attitude channel) and map the perturbation
+    through the loop.
 
     The c.g. shift perturbs the plant upstream of the inner feedback, so
     the augmented perturbations are Q_A' = Q_A - Q_B K C and Q_B' = Q_B;
     both stay confined to the pitch-acceleration row and remain rank 1.
     """
-    siso = inner_loop_stabilize(plant.nominal, Kq, Kalpha)
-    K = inner_loop_gain_row(Kq, Kalpha)
-    Q_A = plant.Q_A - plant.Q_B @ K @ plant.nominal.C
+    p = plant.nominal
+    K = np.array([[0.0, Kq, Kalpha]])   # static output feedback over (theta, q, alpha)
+    siso = StateSpace(p.A - p.B @ K @ p.C, p.B, p.C[:1, :], np.zeros((1, 1)))
+    Q_A = plant.Q_A - plant.Q_B @ K @ p.C
     return UncertainPlant(nominal=siso, Q_A=Q_A, Q_B=plant.Q_B.copy())
 
 
@@ -247,7 +209,7 @@ def augment_uncertain_plant(plant: UncertainPlant, Kq: float, Kalpha: float) -> 
 # Model-definition files
 
 _FC_FIELDS = {f.name for f in fields(FlightCondition)}
-_FC_REQUIRED = {"V0", "m", "Iy", "rho", "S", "c"}
+_FC_REQUIRED = {f.name for f in fields(FlightCondition) if f.default is MISSING}
 _DL_FIELDS = {f.name for f in fields(DimensionlessDerivatives)}
 
 

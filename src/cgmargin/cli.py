@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -16,6 +17,8 @@ FIGURE_CRITERIA = {row.figure: name for name, row in pipeline.CRITERION_TABLE.it
 FIGURES = tuple(FIGURE_CRITERIA)
 # --criteria short name -> criterion: a figure's name less its nyquist_ plane
 ALIASES = {figure.removeprefix("nyquist_"): name for figure, name in FIGURE_CRITERIA.items()}
+# option defaults: those of the analysis settings
+DEFAULTS = {f.name: f.default for f in fields(pipeline.AnalysisConfig)}
 
 
 def _parse_complex_list(_ctx, _param, value):
@@ -36,9 +39,9 @@ def _common_options(fn):
             default=None,
             help="Model-definition file (default: bundled aircraft data).",
         ),
-        click.option("--kq", type=float, default=pipeline.DEFAULT_KQ,
+        click.option("--kq", type=float, default=DEFAULTS["kq"],
                      show_default=True, help="Inner-loop pitch-rate gain."),
-        click.option("--kalpha", type=float, default=pipeline.DEFAULT_KALPHA,
+        click.option("--kalpha", type=float, default=DEFAULTS["kalpha"],
                      show_default=True, help="Inner-loop angle-of-attack gain."),
         click.option("--controller-zeros", callback=_parse_complex_list,
                      default=None, help="Controller zeros, comma separated."),
@@ -46,10 +49,10 @@ def _common_options(fn):
                      default=None, help="Controller poles, comma separated."),
         click.option("--controller-gain", type=float, default=None,
                      help="Controller gain."),
-        click.option("--wmin", type=float, default=1e-4, show_default=True),
-        click.option("--wmax", type=float, default=1e4, show_default=True),
-        click.option("--npoints", type=int, default=4000, show_default=True),
-        click.option("--stability-margin", type=float, default=0.0,
+        click.option("--wmin", type=float, default=DEFAULTS["wmin"], show_default=True),
+        click.option("--wmax", type=float, default=DEFAULTS["wmax"], show_default=True),
+        click.option("--npoints", type=int, default=DEFAULTS["npoints"], show_default=True),
+        click.option("--stability-margin", type=float, default=DEFAULTS["stability_margin"],
                      show_default=True,
                      help="Degree of stability m >= 0: every result reads M(s - m)."),
         click.option("--out", "out_dir",
@@ -61,17 +64,11 @@ def _common_options(fn):
     return fn
 
 
-def _make_config(controller_zeros, controller_poles, controller_gain, **settings):
-    def given(value, default):   # an empty list is given: no zeros, or no poles
-        return default if value is None else value
-
+def _make_config(**settings):
+    """AnalysisConfig of the settings given; one left as None takes its default
+    (an empty list is given: no zeros, or no poles)."""
     try:
-        return pipeline.AnalysisConfig(
-            controller_zeros=given(controller_zeros, pipeline.DEFAULT_CONTROLLER_ZEROS),
-            controller_poles=given(controller_poles, pipeline.DEFAULT_CONTROLLER_POLES),
-            controller_gain=given(controller_gain, pipeline.DEFAULT_CONTROLLER_GAIN),
-            **settings,
-        )
+        return pipeline.AnalysisConfig(**{k: v for k, v in settings.items() if v is not None})
     except ValueError as exc:
         raise click.ClickException(str(exc))
 
@@ -112,8 +109,8 @@ def cmd_model(out_dir: Path, **kw):
     show_default=True,
     help="Comma-separated subset of: " + ", ".join(CRITERIA),
 )
-@click.option("--n-verify", type=click.IntRange(min=0), default=50, show_default=True,
-              help="Interior stability samples per interval.")
+@click.option("--n-verify", type=click.IntRange(min=0), default=DEFAULTS["n_verify"],
+              show_default=True, help="Interior stability samples per interval.")
 @_common_options
 def cmd_analyze(criteria_list: str, n_verify: int, out_dir: Path, **kw):
     """Compute stability bounds and render the report table.

@@ -148,7 +148,7 @@ def _clipped_line(m: _Mapper, q: float, c: float) -> str:
         for x, y in cands:
             if m.x0 - eps <= x <= m.x1 + eps and m.y0 - eps <= y <= m.y1 + eps:
                 pts.append((x, y))
-        pts = sorted(set(pts))[:2] if len(pts) >= 2 else pts
+        pts.sort()
     if len(pts) < 2:
         return "<!-- line outside window -->"
     (x1, x2), (y1, y2) = m(*zip(pts[0], pts[-1]))

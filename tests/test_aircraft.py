@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from cgmargin.aircraft import (
-    assemble_longitudinal,
     augment_uncertain_plant,
     build_uncertain_plant,
     dimensionalize,
     format_model_text,
-    inner_loop_stabilize,
     load_default_model,
     load_model_file,
+    longitudinal_plant,
     parse_model_text,
-    perturbation_matrices,
-    to_state_space,
 )
 from cgmargin.errors import ModelFileError, SingularMassMatrixError
 from cgmargin.lti import zpk_of_ss
@@ -63,8 +60,11 @@ class TestDimensionalize:
 class TestAssembly:
     def test_mass_matrix_inverse_closed_form(self, model, dims):
         fc, _ = model
-        Mass, A_t, _ = assemble_longitudinal(fc, dims)
-        m, Iy = fc.m, fc.Iy
+        m, Iy, d = fc.m, fc.Iy, dims
+        Mass = np.array([[m, -d.Xwdot, 0, 0], [0, m - d.Zwdot, 0, 0], [0, -d.Mwdot, Iy, 0],
+                         [0, 0, 0, 1]])
+        A_t = np.array([[d.Xu, d.Xw, d.Xq, -m * fc.g], [d.Zu, d.Zw, d.Zq + m * fc.V0, 0],
+                        [d.Mu, d.Mw, d.Mq, 0], [0, 0, 1, 0]])
         mz = m - dims.Zwdot
         Minv = np.array(
             [
@@ -75,38 +75,38 @@ class TestAssembly:
             ]
         )
         assert np.allclose(Minv @ Mass, np.eye(4), atol=1e-12)
-        A = np.linalg.solve(Mass, A_t)
+        A = longitudinal_plant(fc, dims).A
         assert np.allclose(A, Minv @ A_t, rtol=1e-12, atol=1e-12)
 
     def test_kinematic_row(self, model, dims):
         fc, _ = model
-        Mass, A_t, B_t = assemble_longitudinal(fc, dims)
-        plant = to_state_space(Mass, A_t, B_t, fc.V0)
+        plant = longitudinal_plant(fc, dims)
         assert np.allclose(plant.A[3], [0, 0, 1, 0])
         assert plant.B[3, 0] == 0.0
 
     def test_output_rows(self, model, dims):
         fc, _ = model
-        Mass, A_t, B_t = assemble_longitudinal(fc, dims)
-        plant = to_state_space(Mass, A_t, B_t, fc.V0)
+        plant = longitudinal_plant(fc, dims)
         # states (u, w, q, theta); outputs (theta, q, alpha = w / V0)
         assert np.array_equal(plant.C[:2], [[0, 0, 0, 1], [0, 0, 1, 0]])
         assert np.allclose(plant.C[2], [0, 1.0 / fc.V0, 0, 0])
 
     def test_singular_mass_matrix_rejected(self, model, dims):
-        fc, _ = model
+        fc, dl = model
         bad = dataclasses.replace(dims, Zwdot=fc.m + 1.0)
         with pytest.raises(SingularMassMatrixError):
-            assemble_longitudinal(fc, bad)
+            longitudinal_plant(fc, bad)
+        # Zwdot = rho*S*c/2 * Z_wdot = 2m
+        bad_dl = dataclasses.replace(dl, Z_wdot=4 * fc.m / (fc.rho * fc.S * fc.c))
         with pytest.raises(SingularMassMatrixError):
-            perturbation_matrices(fc, bad)
+            build_uncertain_plant(fc, bad_dl)
 
 
 class TestInnerLoop:
     def test_closed_loop_matrix(self, model):
         fc, dl = model
         plant = build_uncertain_plant(fc, dl)
-        siso = inner_loop_stabilize(plant.nominal, 1.6, 1.72)
+        siso = augment_uncertain_plant(plant, 1.6, 1.72).nominal
         p = plant.nominal
         K = np.array([[0.0, 1.6, 1.72]])
         assert np.allclose(siso.A, p.A - p.B @ K @ p.C, atol=1e-12)
@@ -115,7 +115,7 @@ class TestInnerLoop:
     def test_zero_gains_identity(self, model):
         fc, dl = model
         plant = build_uncertain_plant(fc, dl)
-        siso = inner_loop_stabilize(plant.nominal, 0.0, 0.0)
+        siso = augment_uncertain_plant(plant, 0.0, 0.0).nominal
         assert np.allclose(siso.A, plant.nominal.A)
 
     def test_nominal_transfer_function(self, model):
@@ -139,9 +139,11 @@ class TestInnerLoop:
 
 class TestPerturbation:
     def test_structure(self, model, dims):
-        fc, _ = model
-        Q_A, Q_B, mu = perturbation_matrices(fc, dims)
-        assert mu == pytest.approx(fc.m / (fc.Iy * (fc.m - dims.Zwdot)))
+        fc, dl = model
+        plant = build_uncertain_plant(fc, dl)
+        Q_A, Q_B = plant.Q_A, plant.Q_B
+        mu = fc.m / (fc.Iy * (fc.m - dims.Zwdot))
+        assert Q_B[2, 0] == pytest.approx(-mu * dims.Zeta, rel=1e-12)
         nz_rows = np.nonzero(np.any(Q_A != 0, axis=1))[0]
         assert nz_rows.tolist() == [2]
         assert np.nonzero(Q_B[:, 0])[0].tolist() == [2]
@@ -151,16 +153,13 @@ class TestPerturbation:
         """A + delta*Q_A, B + delta*Q_B equals a full rebuild from the
         shifted derivatives, to rounding error (the delta-dependence of
         the mass matrix cancels identically)."""
-        fc, _ = model
-        Mass, A_t, B_t = assemble_longitudinal(fc, dims)
-        plant = to_state_space(Mass, A_t, B_t, fc.V0)
-        Q_A, Q_B, _ = perturbation_matrices(fc, dims)
+        fc, dl = model
+        uncertain = build_uncertain_plant(fc, dl)
+        plant, Q_A, Q_B = uncertain.nominal, uncertain.Q_A, uncertain.Q_B
         scale_A = np.abs(plant.A).max()
         scale_B = np.abs(plant.B).max()
         for delta in (-16.0, -1.0, -0.1, 0.3, 0.51, 5.0):
-            dd2 = uncertain_derivatives(dims, delta)
-            M2, A2, B2 = assemble_longitudinal(fc, dd2)
-            rebuilt = to_state_space(M2, A2, B2, fc.V0)
+            rebuilt = longitudinal_plant(fc, uncertain_derivatives(dims, delta))
             assert np.allclose(
                 rebuilt.A, plant.A + delta * Q_A, atol=1e-9 * scale_A
             )
@@ -175,15 +174,14 @@ class TestPerturbation:
         plant = build_uncertain_plant(fc, dl)
         aug = augment_uncertain_plant(plant, 1.6, 1.72)
         dims = dimensionalize(fc, dl)
+        K = np.array([[0.0, 1.6, 1.72]])
         for delta in (-2.0, 0.4):
-            dd2 = uncertain_derivatives(dims, delta)
-            M2, A2, B2 = assemble_longitudinal(fc, dd2)
-            perturbed = to_state_space(M2, A2, B2, fc.V0)
-            closed = inner_loop_stabilize(perturbed, 1.6, 1.72)
+            p = longitudinal_plant(fc, uncertain_derivatives(dims, delta))
+            closed_A = p.A - p.B @ K @ p.C
             assert np.allclose(
-                closed.A,
+                closed_A,
                 aug.nominal.A + delta * aug.Q_A,
-                atol=1e-8 * np.abs(closed.A).max(),
+                atol=1e-8 * np.abs(closed_A).max(),
             )
 
     def test_zero_shift_is_nominal(self, dims):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ class TestModelCommand:
         fc, dl = load_model_file(out / "model_echo.cfg")
         fc0, dl0 = load_default_model()
         assert fc == fc0 and dl == dl0
+
+    @pytest.mark.parametrize("margin, digest", [
+        (0.0, "ce5c50121ac77e396770c332bbb93bab9d5900fba02412f9e65ebd5e80c5ac5a"),
+        (0.01, "a50ea3ce92705119f12900ff973294ee72f2812f2f355736122d6428b2a25319"),
+    ], ids=["no_margin", "margin"])
+    def test_golden_dump(self, margin, digest):
+        session = pipeline.build_session(pipeline.AnalysisConfig(stability_margin=margin))
+        dump = pipeline.format_model_dump(session)
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
     def test_missing_model_file(self, runner, tmp_path):
         result = runner.invoke(main, ["model", "--model", str(tmp_path / "x.cfg")])
@@ -286,6 +296,21 @@ class TestRender:
                         "<path d=", "</svg>"):
             assert element in svg
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("corner", ["y0", "y1"])
+    def test_line_through_left_corner(self, corner):
+        """A line through a left corner of the window is drawn across it, not
+        as a point: two of its edge crossings are that corner, apart by rounding."""
+        xs, ys = [-1.0, 0.5, 2.0], [-1.0, 0.3, 1.5]
+        samples = [("sample", 0.0, x, y) for x, y in zip(xs, ys)]
+        drawn = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)" '
+                           + re.escape(svgplot.DASHED))
+        for c in np.linspace(-0.9, 1.9, 200):   # intercepts inside the samples' x range
+            m = svgplot._Mapper(list(xs), list(ys), [("line", 0.0, c, 0.0)], False)
+            line = ("line", (m.x0 - c) / getattr(m, corner), c, 0.0)
+            svg = svgplot.render_svg(samples + [line], "Corner", "x", "y", equal_aspect=False)
+            [ends] = drawn.findall(svg)
+            assert ends[:2] != ends[2:], c
 
     def test_csv_round_trip(self):
         rows = svgplot.csv_to_rows(svgplot.rows_to_csv(self.ROWS))
