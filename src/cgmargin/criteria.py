@@ -280,15 +280,12 @@ def small_gain_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Smallest origin-centered circle enclosing the locus of M(jw).
 
     The radius r_sg is the peak magnitude of M; the interval is the
-    symmetric (-1/r_sg, +1/r_sg).
+    symmetric (-1/r_sg, +1/r_sg), unbounded on both sides where M = 0.
     """
     M = summary.system
     r_sg = _certified_max(M, *_modulus_level(M, 0.0), summary.omegas, summary.values)[0]
-    return StabilityInterval(
-        lower=-1.0 / r_sg,
-        upper=1.0 / r_sg,
-        criterion="small_gain",
-        witnesses={"r_sg": r_sg},
+    return _interval_from_intercepts(
+        pos=r_sg, neg=-r_sg, criterion="small_gain", witnesses={"r_sg": r_sg}
     )
 
 

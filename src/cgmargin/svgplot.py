@@ -119,7 +119,9 @@ def render_svg(rows, title: str, xlabel: str, ylabel: str, equal_aspect: bool = 
     for kind, a, b, _ in geometry:
         if kind == "circle":
             (x,), (y,) = m([a], [0.0])
-            out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{b * m.sx:.2f}" fill="none" {DASHED}/>')
+            shape, radii = (("circle", f'r="{b * m.sx:.2f}"') if m.sx == m.sy else
+                            ("ellipse", f'rx="{b * m.sx:.2f}" ry="{b * m.sy:.2f}"'))
+            out.append(f'<{shape} cx="{x:.2f}" cy="{y:.2f}" {radii} fill="none" {DASHED}/>')
         elif kind == "line":
             out.append(_clipped_line(m, a, b))
         elif kind == "marker":

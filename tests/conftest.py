@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cgmargin import AnalysisConfig, StabilityInterval, build_session, run_analysis
-from cgmargin.criteria import sample_locus
+from cgmargin import AnalysisConfig, build_session, run_analysis
+from cgmargin.criteria import StabilityInterval, sample_locus
 from cgmargin.errors import UnstableFixedPartError
 from cgmargin.mdelta import model_of
 

@@ -172,6 +172,15 @@ class TestAnalyzeCommand:
         for figure, criterion in FIGURE_CRITERIA.items():
             assert pipeline.CRITERION_TABLE[criterion].figure == figure
 
+    @pytest.mark.parametrize("option, value", [
+        ("--controller-zeros", "1,x"), ("--controller-poles", "-1,,2j-"),
+    ], ids=["zeros", "poles"])
+    def test_malformed_roots_rejected(self, runner, tmp_path, option, value):
+        result = runner.invoke(main, ["analyze", option, value, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}': expected comma-separated numbers" in result.output
+        assert not any(tmp_path.iterdir())
+
     def test_unstable_nominal_aborts(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -288,14 +297,27 @@ class TestRender:
 
     @pytest.mark.parametrize("equal_aspect, digest", [
         (True, "7e0ac03346d4753e4f7088c0fab2be54080658c8e1e6462fd62dc03d3748b683"),
-        (False, "202a2f0ce38a35ec3ae228f8b7561cf6a89188184b0c2cab888b159ed4ead819"),
+        (False, "3b6cd54c3238baaf0ffc19ae36258bb0adf8fbdafae7b50668a960ae35a83c94"),
     ], ids=["equal_aspect", "free_aspect"])
     def test_golden_svg(self, equal_aspect, digest):
         svg = svgplot.render_svg(self.ROWS, "Golden", "x", "y", equal_aspect=equal_aspect)
-        for element in ("<polyline ", "<circle ", "<line x1=", "<!-- line outside window -->",
+        circle = "<circle " if equal_aspect else "<ellipse "
+        for element in ("<polyline ", circle, "<line x1=", "<!-- line outside window -->",
                         "<path d=", "</svg>"):
             assert element in svg
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("equal_aspect", [True, False], ids=["equal_aspect", "free_aspect"])
+    def test_circle_radii_follow_axis_scales(self, equal_aspect):
+        # a circle row of radius b is b * sx px wide and b * sy px tall
+        svg = svgplot.render_svg(self.ROWS, "Golden", "x", "y", equal_aspect=equal_aspect)
+        m = svgplot._Mapper([r[2] for r in self.ROWS[:4]], [r[3] for r in self.ROWS[:4]],
+                            self.ROWS[4:], equal_aspect)
+        [shape] = re.findall(r"<(?:circle|ellipse) [^>]*>", svg)
+        attrs = {k: float(v) for k, v in re.findall(r'(r|rx|ry)="([^"]+)"', shape)}
+        rx, ry = attrs.get("rx", attrs.get("r")), attrs.get("ry", attrs.get("r"))
+        b = self.ROWS[4][2]
+        assert (rx, ry) == (round(b * m.sx, 2), round(b * m.sy, 2))
 
     @pytest.mark.parametrize("corner", ["y0", "y1"])
     def test_line_through_left_corner(self, corner):

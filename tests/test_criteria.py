@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import threading
@@ -93,6 +94,20 @@ def _hard_case(name):
         # lower bound -1/M(0) must still be found
         M = ss_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0)
         return model_of(M.A, -M.B @ M.C)
+    if name == "near_cancellation":
+        # a pair at w = 3 with damping 1e-3 whose input residue is 1e-6, so a
+        # zero of M lies next to each of its poles, beside a stable random 6 x
+        # 6 block; a random similarity couples the two
+        zeta, w0 = 1e-3, 3.0
+        H = np.zeros((8, 8))
+        H[:2, :2] = [[-zeta * w0, w0 * math.sqrt(1 - zeta**2)],
+                     [-w0 * math.sqrt(1 - zeta**2), -zeta * w0]]
+        block = rng.normal(size=(6, 6))
+        H[2:, 2:] = block - (np.linalg.eigvals(block).real.max() + 0.5) * np.eye(6)
+        b = np.concatenate([[1e-6, 1e-6], rng.normal(size=6)])
+        c = rng.normal(size=8)
+        T = rng.normal(size=(8, 8))
+        return model_of(T @ H @ np.linalg.inv(T), -np.outer(T @ b, np.linalg.solve(T.T, c)))
     return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
 
 
@@ -118,7 +133,7 @@ AIRCRAFT_MARGIN = 0.005
 # perfbench's containment tolerances: a graphical bound may sit on the exact one
 CONTAIN_REL, CONTAIN_ABS = 1e-5, 1e-6
 HARD_CASES = ("relative_degree_3", "cb_zero", "light_damping", "jordan_block",
-              "random_n128", "flat_at_origin", "aircraft_margin")
+              "random_n128", "flat_at_origin", "near_cancellation", "aircraft_margin")
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +529,20 @@ class TestSmallGain:
         iv = small_gain_bounds(session.summary)
         assert iv.lower == -iv.upper
         assert iv.upper == pytest.approx(1.0 / iv.witnesses["r_sg"])
+
+    def test_decoupled_model_unbounded(self):
+        # Qcal feeds the second state from the first, which H never reaches:
+        # M = 0, so r_sg = 0 and every delta is stable
+        model = model_of(np.diag([-1.0, -2.0]), np.outer([1.0, 0.0], [0.0, 1.0]))
+        config = AnalysisConfig()
+        with pytest.warns(UserWarning, match="intercept of the wrong sign") as record:
+            intervals, reports = analyze_model(model, sample_locus(model.M), config)
+        assert {name: (iv.lower, iv.upper) for name, iv in intervals.items()} == {
+            name: (-math.inf, math.inf) for name in criteria.CRITERIA}
+        assert reports == {}
+        assert intervals["small_gain"].witnesses["r_sg"] == 0.0
+        assert sorted(str(w.message).split(":")[0] for w in record) == [
+            "circle", "popov", "positive_real", "small_gain"]
 
 
 class TestCircle:
@@ -1092,7 +1121,11 @@ class TestUnits:
 
         def analyze(alpha):
             model = model_of(H, alpha * Qcal)
-            return analyze_model(model, sample_locus(model.M), AnalysisConfig())
+            # random0 is stable for every delta < 0, and Popov alone of the
+            # graphical criteria reads that side unbounded, at every alpha
+            with (pytest.warns(UserWarning, match="popov: intercept of the wrong sign")
+                  if index == 1 else contextlib.nullcontext()):
+                return analyze_model(model, sample_locus(model.M), AnalysisConfig())
 
         base = analyze(1.0)[0]
         for alpha in (1e-12, 1e-6, 1e6, 1e12):
@@ -1105,6 +1138,18 @@ class TestUnits:
                     assert iv.witnesses[key] / alpha == pytest.approx(
                         want.witnesses[key], rel=1e-10), (alpha, name, key)
             assert all(r.passed for r in reports.values()), alpha
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"criteria": ()}, "must be nonempty"),
+    ({"criteria": ("exact", "bogus")}, r"unknown criteria: \['bogus'\]"),
+    ({"wmin": 0.0}, "frequency window"),
+    ({"kalpha": math.nan}, "need finite gains"),
+    ({"stability_margin": -0.1}, "stability margin >= 0"),
+], ids=["no_criteria", "unknown_criterion", "wmin_zero", "kalpha_nan", "negative_margin"])
+def test_config_rejected(settings, message):
+    with pytest.raises(ValueError, match=message):
+        AnalysisConfig(**settings)
 
 
 class TestAnalyzeModel:

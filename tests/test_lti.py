@@ -4,6 +4,7 @@ import pytest
 from cgmargin.errors import DimensionError, RepresentationError
 from cgmargin.lti import (
     STACK_BYTES,
+    FrequencyLocus,
     StateSpace,
     freq_response,
     freq_values,
@@ -327,6 +328,34 @@ class TestTfOfSs:
     def test_mimo_rejected(self):
         with pytest.raises(DimensionError):
             zpk_of_ss(StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))))
+
+
+LAG = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateSpace(-np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), [[0.0]]),
+     "B has 3 rows, expected 2"),
+    (lambda: StateSpace(-np.eye(2), np.zeros((2, 1)), np.zeros((1, 3)), [[0.0]]),
+     "C has 3 cols, expected 2"),
+    (lambda: StateSpace(-np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2))),
+     r"D must be 1x1, got \(2, 2\)"),
+    (lambda: FrequencyLocus([0.0, 1.0], [1.0], LAG), "matching 1-D arrays"),
+    (lambda: FrequencyLocus([[0.0, 1.0]], [[1.0, 1.0]], LAG), "matching 1-D arrays"),
+    (lambda: FrequencyLocus([-1.0, 1.0], [1.0, 1.0], LAG), "nonnegative"),
+    (lambda: FrequencyLocus([1.0, 1.0], [1.0, 1.0], LAG), "strictly increasing"),
+    (lambda: FrequencyLocus([0.0, 1.0], [1.0, np.nan], LAG), "non-finite"),
+    (lambda: freq_response(StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2))), [1.0]),
+     "requires a SISO system"),
+    (lambda: freq_response(LAG, []), "nonempty 1-D"),
+    (lambda: freq_response(LAG, [[1.0, 2.0]]), "nonempty 1-D"),
+    (lambda: imaginary_zeros(-np.eye(2), [1.0, 1.0, 1.0], [1.0, 1.0]), "SISO realization"),
+], ids=["B_rows", "C_cols", "D_shape", "locus_mismatched", "locus_2d", "locus_negative",
+        "locus_not_increasing", "locus_nonfinite", "response_mimo", "response_empty",
+        "response_2d", "zeros_not_siso"])
+def test_outside_input_rejected(build, message):
+    with pytest.raises(DimensionError, match=message):
+        build()
 
 
 def test_analysis_makes_no_scalar_response_call(monkeypatch):

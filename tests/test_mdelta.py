@@ -63,6 +63,15 @@ class TestClosedLoopUncertain:
         with pytest.raises(DimensionError):
             closed_loop_uncertain(bad, session.controller)
 
+    @pytest.mark.parametrize("inputs, outputs", [(2, 1), (1, 2)],
+                             ids=["controller_inputs", "controller_outputs"])
+    def test_io_mismatch_rejected(self, session, inputs, outputs):
+        # the controller closes a SISO plant: one input and one output
+        controller = StateSpace(-np.eye(2), np.ones((2, inputs)), np.ones((outputs, 2)),
+                                np.zeros((outputs, inputs)))
+        with pytest.raises(DimensionError, match="I/O dimensions do not match"):
+            closed_loop_uncertain(session.augmented, controller)
+
 
 class TestRankOneFactor:
     def test_reconstruction(self, session):
