@@ -189,10 +189,8 @@ def cmd_verify(n_samples: int, results: Path, out_dir: Path, **kw):
     """Interior-stability audit of every criterion interval."""
     config = _make_config(n_verify=n_samples, **kw)
     if results is not None:
-        text = results.read_text()
         try:
-            margin = pipeline.parse_report_margin(text)
-            intervals = pipeline.parse_report_csv(text)
+            margin, intervals = pipeline.read_report(results.read_text())
         except ValueError as exc:
             raise click.ClickException(f"{results}: {exc}")
         if margin != config.stability_margin:

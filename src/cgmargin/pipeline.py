@@ -214,60 +214,55 @@ def format_report_csv(intervals: dict, margin: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_rows(text: str) -> list:
-    """(line number, line, fields) of each nonblank line of a report."""
-    return [(i, ln, ln.split(",")) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+def _number(fields: list, i: int) -> float:
+    """fields[i] as a float; nan if it is missing or not a number."""
+    try:
+        return float(fields[i])
+    except (IndexError, ValueError):
+        return np.nan
+
+
+def read_report(text: str) -> tuple[float | None, dict]:
+    """The stability margin and the intervals of a format_report_csv report,
+    read in one pass.  The intervals come from their bounds alone (a side is
+    unbounded exactly when its bound is -inf or inf), in CRITERIA order; the
+    margin is None if the header has no stability_margin column.  A report
+    with no rows raises ValueError, and so does a row that names no criterion,
+    repeats one, lacks two numeric bounds, has a lower bound not below its
+    upper one or, with that column, lacks a numeric margin or records another
+    than the first row's, naming the first faulty line."""
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if len(rows) < 2:
+        raise ValueError("the report holds no interval rows")
+    header = rows[0][1].split(",")
+    col = header.index("stability_margin") if "stability_margin" in header else None
+    margin, intervals = None, {}
+    for lineno, line in rows[1:]:
+        fields = line.split(",")
+        name, lower, upper = fields[0], _number(fields, 1), _number(fields, 2)
+        if name not in CRITERIA:
+            raise ValueError(f"line {lineno} names no criterion of {', '.join(CRITERIA)}: {line!r}")
+        if name in intervals:
+            raise ValueError(f"line {lineno} repeats criterion {name}: {line!r}")
+        if np.isnan([lower, upper]).any():
+            raise ValueError(f"line {lineno} has no numeric lower and upper bound: {line!r}")
+        if not lower < upper:
+            raise ValueError(f"line {lineno} has a lower bound not below its upper bound: {line!r}")
+        if col is not None:
+            m = _number(fields, col)
+            if np.isnan(m):
+                raise ValueError(f"line {lineno} has no numeric stability margin: {line!r}")
+            if margin is not None and m != margin:
+                raise ValueError(f"line {lineno} records stability margin {m!r}, "
+                                 f"but line {rows[1][0]} records {margin!r}")
+            margin = m
+        intervals[name] = StabilityInterval(lower=lower, upper=upper, criterion=name, witnesses={})
+    return margin, {name: intervals[name] for name in CRITERIA if name in intervals}
 
 
 def parse_report_csv(text: str) -> dict:
-    """Read back the intervals written by format_report_csv from their bounds
-    alone (a side is unbounded exactly when its bound is -inf or inf), in
-    CRITERIA order.  A report with no rows raises ValueError, and so does a
-    row that names no criterion, repeats one, or lacks two numeric bounds,
-    naming its line."""
-    rows = _report_rows(text)[1:]
-    if not rows:
-        raise ValueError("the report holds no interval rows")
-    intervals: dict[str, StabilityInterval] = {}
-    for lineno, line, fields in rows:
-        if fields[0] not in CRITERIA:
-            raise ValueError(f"line {lineno} names no criterion of {', '.join(CRITERIA)}: {line!r}")
-        if fields[0] in intervals:
-            raise ValueError(f"line {lineno} repeats criterion {fields[0]}: {line!r}")
-        try:
-            lower, upper = float(fields[1]), float(fields[2])
-        except (IndexError, ValueError):
-            lower = upper = np.nan
-        if np.isnan([lower, upper]).any():
-            raise ValueError(f"line {lineno} has no numeric lower and upper bound: {line!r}")
-        intervals[fields[0]] = StabilityInterval(
-            lower=lower, upper=upper, criterion=fields[0], witnesses={}
-        )
-    return {name: intervals[name] for name in CRITERIA if name in intervals}
-
-
-def parse_report_margin(text: str) -> float | None:
-    """The stability margin that every row of a format_report_csv report
-    records; None if it has no rows or no stability_margin column.  A row
-    without a numeric margin, or with another than the first row's, raises
-    ValueError naming its line."""
-    rows = _report_rows(text)
-    if len(rows) < 2 or "stability_margin" not in rows[0][2]:
-        return None
-    col, margin = rows[0][2].index("stability_margin"), None
-    for lineno, line, fields in rows[1:]:
-        try:
-            m = float(fields[col])
-        except (IndexError, ValueError):
-            m = np.nan
-        if np.isnan(m):
-            raise ValueError(f"line {lineno} has no numeric stability margin: {line!r}")
-        if margin is None:
-            margin = m
-        elif m != margin:
-            raise ValueError(f"line {lineno} records stability margin {m!r}, "
-                             f"but line {rows[1][0]} records {margin!r}")
-    return margin
+    """The intervals of read_report(text) alone."""
+    return read_report(text)[1]
 
 
 def format_matrix(name: str, mat: np.ndarray) -> str:

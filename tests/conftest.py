@@ -135,6 +135,62 @@ def scan_exact_bounds(model, lo=-100.0, hi=10.0, step=0.01, delta_tol=1e-6, marg
     )
 
 
+def _bialternate(A):
+    """The bialternate sum 2A (.) I: the matrix of X -> AX + XA^T on the
+    antisymmetric X with coordinates X[p, q], p < q.  Its eigenvalues are the
+    sums lambda_i + lambda_j, i < j, of A's."""
+    n = A.shape[0]
+    p, q = np.triu_indices(n, 1)
+    L = np.kron(A, np.eye(n)) + np.kron(np.eye(n), A)
+    return L[p * n + q][:, p * n + q] - L[p * n + q][:, q * n + p]
+
+
+def guardian_exact_bounds(H, Qcal, zero_rtol=1e-10, imag_rtol=3e-7, axis_rtol=1e-6):
+    """Exact interval of H + delta*Qcal from the guardian map
+    det(H + delta*Qcal) * det((H + delta*Qcal) (.) I), with unbounded sides.
+
+    An eigenvalue reaches the jw-axis at 0 or as a pair +-jw, whose sum is 0.
+    For Qcal = a b^T, det(H + delta*Qcal) = 0 at delta = -1/mu0 with
+    mu0 = b^T H^-1 a.  The bialternate sum is linear, and that of Qcal is
+    U V^T of rank n - 1 (X -> y a^T - a y^T with y = Xb), so the pairs reach
+    the axis at delta = -1/mu for the real eigenvalues mu of the n x n
+    W = V^T (H (.) I)^-1 U.  A mu that is a rounding zero, to zero_rtol of
+    |b| |H^-1 a| or of |W|_1, is dropped.  A pair's delta is kept only if
+    H + delta*Qcal has an eigenvalue with |Re| <= axis_rtol*|Im|: a real pair
+    +-x sums to 0 too, and so does the rounding of a defective zero of W,
+    about sqrt(eps) when b^T a = 0.
+    At a stability margin m, pass H + m*I.  Independent of M, of the
+    frequency response and of any range or step in delta.
+    """
+    H = np.asarray(H, dtype=float)
+    u, s, vt = np.linalg.svd(Qcal)
+    a, b = s[0] * u[:, 0], vt[0]
+    x = np.linalg.solve(H, a)
+    mu0 = b @ x
+    kept = [-1.0 / mu0] if abs(mu0) > zero_rtol * np.linalg.norm(b) * np.linalg.norm(x) else []
+    n = H.shape[0]
+    p, q = np.triu_indices(n, 1)
+    k = np.arange(p.size)
+    U, Vt = np.zeros((p.size, n)), np.zeros((n, p.size))
+    U[k, p], U[k, q] = a[q], -a[p]
+    Vt[p, k], Vt[q, k] = b[q], -b[p]
+    W = Vt @ np.linalg.solve(_bialternate(H), U)
+    mu = np.linalg.eigvals(W)
+    real = ((np.abs(mu) > zero_rtol * np.linalg.norm(W, 1))
+            & (np.abs(mu.imag) <= imag_rtol * np.abs(mu)))
+    for delta in -1.0 / mu[real].real:
+        lam = np.linalg.eigvals(H + delta * Qcal)
+        if (np.abs(lam.real) <= axis_rtol * np.abs(lam.imag)).any():
+            kept.append(delta)
+    kept = np.array(kept)
+    return StabilityInterval(
+        lower=kept[kept < 0].max(initial=-math.inf),
+        upper=kept[kept > 0].min(initial=math.inf),
+        criterion="exact",
+        witnesses={"route": "guardian"},
+    )
+
+
 def random_rank_one_model(rng, n=6, shift=0.5):
     """Random stable state matrix with a random rank-1 perturbation."""
     A = rng.normal(size=(n, n))

@@ -472,6 +472,31 @@ class TestVerifyCommand:
         assert isinstance(result.exception, SystemExit)   # no traceback
         assert result.output == f"Error: {csv_path}: {error}\n"
 
+    @pytest.mark.parametrize("row", ["popov,1,-1,0,0,0.0,", "exact,0.5,0.5,0,0,0.0,"],
+                             ids=["reversed", "single_point"])
+    def test_empty_interval_is_one_error_line(self, runner, tmp_path, row):
+        # no delta lies strictly inside: an audit would pass on no sample
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + row + "\n")
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == (
+            f"Error: {csv_path}: line 2 has a lower bound not below its upper bound: {row!r}\n"
+        )
+
+    def test_first_faulty_line_is_named(self, runner, tmp_path):
+        # the rows are read in one pass, so an earlier row's fault wins over
+        # a later row's margin
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(REPORT_HEADER + "Popov,-100,100,0,0,0.0,\nexact,-16.39,0.5123,0,0,0.01,\n")
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {csv_path}: line 2 names no criterion of {', '.join(CRITERIA)}: "
+            "'Popov,-100,100,0,0,0.0,'\n"
+        )
+
 
 class TestStabilityMargin:
     def test_readme_example_and_its_audit_pass(self, runner, tmp_path):

@@ -43,6 +43,7 @@ from cgmargin.pipeline import (
 from conftest import (
     dense_response,
     golden_min,
+    guardian_exact_bounds,
     random_rank_one_model,
     max_real_part,
     scan_exact_bounds,
@@ -720,6 +721,10 @@ class TestExact:
             assert getattr(iv, f"{side}_unbounded") == getattr(scan, f"{side}_unbounded")
             if not getattr(iv, f"{side}_unbounded"):
                 assert getattr(iv, side) == pytest.approx(getattr(scan, side), abs=1e-6)
+        # the guardian map sees both sides, unbounded ones past the scan's range included
+        if model.H.shape[0] <= 32:
+            guardian = guardian_exact_bounds(model.H, model.Qcal)
+            assert (guardian.lower, guardian.upper) == pytest.approx((iv.lower, iv.upper), rel=1e-9)
 
     @pytest.mark.parametrize("case", HARD_CASES)
     def test_hard_case_is_sharp(self, case, session):
@@ -1125,7 +1130,12 @@ class TestUnits:
             # graphical criteria reads that side unbounded, at every alpha
             with (pytest.warns(UserWarning, match="popov: intercept of the wrong sign")
                   if index == 1 else contextlib.nullcontext()):
-                return analyze_model(model, sample_locus(model.M), AnalysisConfig())
+                intervals, reports = analyze_model(model, sample_locus(model.M), AnalysisConfig())
+            # the exact interval, unbounded sides included, is the guardian map's
+            guardian = guardian_exact_bounds(H, alpha * Qcal)
+            assert (guardian.lower, guardian.upper) == pytest.approx(
+                (intervals["exact"].lower, intervals["exact"].upper), rel=1e-9), alpha
+            return intervals, reports
 
         base = analyze(1.0)[0]
         for alpha in (1e-12, 1e-6, 1e6, 1e12):
