@@ -7,19 +7,19 @@ maps to the lower bound -1/x and a negative intercept to the upper
 bound -1/x.  The exact bounds are the same map applied to the real values
 of M(jw) themselves, found as the jw-axis zeros of M(s) - M(-s).
 
-Each graphical bound is the sup over w of one function of M(jw): |M|,
-|M - x_c|, Re M, or Re[(1 + jqw) M].  Its candidate is the largest sample,
-raised by one parabola step at each near-top sampled peak;
-``_certified_max`` then raises it until the jw-axis zeros of one
-para-Hermitian function certify it (Bruinsma and Steinbuch, Systems &
-Control Letters 14, 1990; Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).
-The certificate holds over [0, wmax], below wmin included, not beyond
-wmax.  The circle's x_c and Popov's q are exact 1-D minimax solutions over
-the points evaluated (``_minimax_line``); Popov's q starts from the
-samples and the real-axis crossings of M, and is re-solved with the
-certificate's points until the certified intercept is within 2 *
-CERT_RTOL * |c| of the optimum over every slope (cutting planes; Kelley,
-J. SIAM 8, 1960).
+Each graphical bound is the sup over w of one function of M(jw) with one
+parameter x: |M - x| for a circle centred at x on the real axis (small gain
+pins x = 0, the circle at its sampled-minimax center) and side * Re[(1 +
+jxw) M] for a Popov line of slope x (positive real pins x = 0; Popov takes
+the x that minimizes the sup).  One loop, ``_certified_max``, computes every
+such sup.  Each round takes x from every point evaluated so far, for Popov
+the exact argmin of their lower model (``_minimax_line``; Kelley's cutting
+planes, J. SIAM 8, 1960), raises the level to the largest of those points,
+and makes one crossing solve: the jw-axis zeros of one para-Hermitian
+function either certify the level or bound the intervals where the next
+points go (Bruinsma and Steinbuch, Systems & Control Letters 14, 1990;
+Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).  The certificate holds over
+[0, wmax], below wmin included, not beyond wmax.
 """
 
 from __future__ import annotations
@@ -145,22 +145,32 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(u), omegas[i - 1][ok], omegas[i + 1][ok])
 
 
-def _certified_max(M: StateSpace, f, crossings, limit, omegas: np.ndarray, values: np.ndarray):
-    """(bound, w, M(jw)): sup of f(M(jw), w) over [0, wmax], certified.
+def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray, choose=None):
+    """(bound, x, w, m): sup of f(M(jw), w) over [0, wmax] at the parameter x, certified.
 
-    ``values`` are samples of M(jw) at ``omegas``, sorted, w = 0 and wmax =
-    omegas[-1] among them.  ``crossings(level)`` returns the w >= 0 where
-    f(M(jw), w) = level, and ``limit`` is f as w -> inf.  Start from the
-    largest of the samples and of the parabola seeds (``_parabola_seeds``)
-    and let tol = CERT_RTOL * |level|.  Each round finds the crossings of
-    level + tol in [0, wmax].  As f <= level at every point evaluated, w = 0
-    and wmax among them, f exceeds level + tol only strictly between two
-    consecutive crossings, and then on the whole interval between them; so
-    PER_INTERVAL points inside each such interval are evaluated, and the
-    level is raised to their max.  Once nothing evaluated exceeds level +
-    tol, or fewer than two crossings remain, level + tol bounds f on [0,
-    wmax].  Also returns every point evaluated, the seeds among them, with
-    its M(jw).
+    ``family(x)`` returns (f, crossings, limit) at the parameter x:
+    ``crossings(level)`` returns the w >= 0 where f(M(jw), w) = level, and
+    ``limit`` is f as w -> inf.  ``values`` are samples of M(jw) at
+    ``omegas``, sorted, w = 0 and wmax = omegas[-1] among them.  Also
+    returns every point evaluated, the samples among them, with its M(jw).
+
+    The points start as the samples plus one parabola step at each near-top
+    sampled peak of f (``_parabola_seeds``, at the x the samples give).  Each
+    round then
+    - sets x: 0 without ``choose`` (a pinned parameter), else ``choose(w,
+      m)`` of every point so far (a searched one);
+    - sets the level to the largest f over every point so far, and tol =
+      CERT_RTOL * |level|;
+    - finds the crossings of level + tol in [0, wmax].  As f <= level at
+      every point evaluated, w = 0 and wmax among them, f exceeds level +
+      tol only strictly between two consecutive crossings, and then on the
+      whole interval between them;
+    - evaluates PER_INTERVAL points inside each such interval.
+    Once none of them exceeds level + tol, or fewer than two crossings
+    remain, level + tol bounds f on [0, wmax] at x.  When ``choose`` is the
+    exact argmin over x of the largest f over the points, that level is
+    also the least such largest f, so it bounds the optimum over every x
+    from below: the bound is within tol of the optimum.
 
     As f < level + tol at w = 0 and at wmax, the crossings pair up in [0,
     wmax], so an odd count shows a lost one.  Near the limit the level's
@@ -170,13 +180,17 @@ def _certified_max(M: StateSpace, f, crossings, limit, omegas: np.ndarray, value
     rad/s.  Such a round adds {0, wmax} and the limit's crossings.
     """
     wmax = omegas[-1]
-    fv = f(values, omegas)
-    w = _parabola_seeds(omegas, fv)
-    m = freq_values(M, w)
-    level = float(np.concatenate([fv, f(m, w)]).max())
-    tol = CERT_RTOL * abs(level)
-    seen_w, seen_m = [w], [m]
+    x = choose(omegas, values) if choose else 0.0
+    f, crossings, limit = family(x)
+    seeds = _parabola_seeds(omegas, f(values, omegas))
+    w = np.concatenate([omegas, seeds])
+    m = np.concatenate([values, freq_values(M, seeds)])
     for _ in range(CERT_ROUNDS):
+        if choose:
+            x = choose(w, m)
+            f, crossings, limit = family(x)
+        level = float(f(m, w).max())
+        tol = CERT_RTOL * abs(level)
         z = crossings(level + tol)
         z = z[z <= wmax]
         if z.size % 2:
@@ -184,20 +198,17 @@ def _certified_max(M: StateSpace, f, crossings, limit, omegas: np.ndarray, value
             z = z[(z <= wmax) & (np.diff(z, prepend=-1.0) > 0)]
         elif z.size < 2:
             break
-        w = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
-        m = freq_values(M, w)
-        seen_w.append(w)
-        seen_m.append(m)
-        top = float(f(m, w).max())
-        if top <= level + tol:
+        w_in = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
+        m_in = freq_values(M, w_in)
+        w, m = np.concatenate([w, w_in]), np.concatenate([m, m_in])
+        if f(m_in, w_in).max() <= level + tol:
             break
-        level, tol = top, CERT_RTOL * abs(top)
     else:
         warnings.warn(
             f"maximum {level + tol!r} not certified after {CERT_ROUNDS} rounds",
             stacklevel=3,
         )
-    return level + tol, np.concatenate(seen_w), np.concatenate(seen_m)
+    return level + tol, x, w, m
 
 
 def _minimax_line(a: np.ndarray, b: np.ndarray, lo: float, hi: float, quad: bool = False):
@@ -283,7 +294,7 @@ def small_gain_bounds(summary: FrequencyLocus) -> StabilityInterval:
     symmetric (-1/r_sg, +1/r_sg), unbounded on both sides where M = 0.
     """
     M = summary.system
-    r_sg = _certified_max(M, *_modulus_level(M, 0.0), summary.omegas, summary.values)[0]
+    r_sg = _certified_max(M, lambda x: _modulus_level(M, x), summary.omegas, summary.values)[0]
     return _interval_from_intercepts(
         pos=r_sg, neg=-r_sg, criterion="small_gain", witnesses={"r_sg": r_sg}
     )
@@ -306,7 +317,8 @@ def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> Stability
         np.abs(summary.values) ** 2, 2.0 * X, float(X.min()), float(X.max()), quad=True
     )
     M = summary.system
-    r_c = _certified_max(M, *_modulus_level(M, x_c), summary.omegas, summary.values)[0]
+    r_c = _certified_max(M, lambda x: _modulus_level(M, x), summary.omegas, summary.values,
+                         choose=lambda w, m: x_c)[0]
     return _interval_from_intercepts(
         pos=x_c + r_c,
         neg=x_c - r_c,
@@ -318,8 +330,8 @@ def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> Stability
 def positive_real_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Vertical lines at the extreme real parts of the locus."""
     M, omegas, values = summary.system, summary.omegas, summary.values
-    x_max = _certified_max(M, *_popov_level(M, 0.0, +1), omegas, values)[0]
-    x_min = -_certified_max(M, *_popov_level(M, 0.0, -1), omegas, values)[0]
+    x_max = _certified_max(M, lambda q: _popov_level(M, q, +1), omegas, values)[0]
+    x_min = -_certified_max(M, lambda q: _popov_level(M, q, -1), omegas, values)[0]
     return _interval_from_intercepts(
         pos=x_max,
         neg=x_min,
@@ -333,82 +345,53 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
     c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f,
-    over |q| <= Q_MAX.  Both sides start from one point set: the samples
-    plus each real-axis crossing w* of M in (0, wmax] and w*(1 +- SEED_EPS)
-    up to wmax, evaluated in one ``freq_values`` call.  Each side is then
-    solved by ``_optimize_popov_line``: the reported intercept is certified
-    at the reported slope, so every line (q, c) encloses the continuous
-    locus on [0, wmax], and ``gap_plus``/``gap_minus`` bound how far c lies
-    from the optimum over every slope.  q = 0, the positive real criterion's
-    vertical lines, is among the slopes.
+    over |q| <= Q_MAX; q = 0 gives the positive real criterion's vertical
+    lines.  Each side is one ``_certified_max`` whose ``choose`` is Kelley's
+    cutting plane (J. SIAM 8, 1960): over the set S of points evaluated so
+    far, phi_S(q) = max_k side * f(q, w_k) is convex and lies below the sup
+    over [0, wmax], and q is its exact argmin (``_minimax_line``).  So every
+    reported line (q, c) encloses the continuous locus on [0, wmax], and
+    ``gap_plus``/``gap_minus``, c less min phi_S over the final S, bound how
+    far c lies from the optimum over every slope.
+
+    S starts as the samples plus each real-axis crossing w* of M in (0,
+    wmax] and w*(1 +- SEED_EPS) up to wmax, evaluated in one ``freq_values``
+    call for both sides.  phi's subgradient is -side * w Im M at the binding
+    w, so a smooth optimum binds at a real-axis crossing, and these cuts pin
+    it.  A gap above 2 * CERT_RTOL * |c|, or a final argmin at |q| = Q_MAX
+    with phi_S still falling beyond it, warns that the line is not shown
+    optimal.
     """
     M, omegas = summary.system, summary.omegas
     w = np.array([wk for wk, _ in M.real_crossings if 0.0 < wk <= omegas[-1]])
     w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
     w = w[w <= omegas[-1]]
-    seeded = _merged(omegas, summary.values, w, freq_values(M, w))
-    q_plus, c_plus, gap_plus = _optimize_popov_line(M, *seeded, side=+1)
-    q_minus, c_minus, gap_minus = _optimize_popov_line(M, *seeded, side=-1)
-    return _interval_from_intercepts(
-        pos=c_plus,
-        neg=c_minus,
-        criterion="popov",
-        witnesses={
-            "q_plus": q_plus,
-            "c_plus": c_plus,
-            "gap_plus": gap_plus,
-            "q_minus": q_minus,
-            "c_minus": c_minus,
-            "gap_minus": gap_minus,
-        },
-    )
-
-
-def _merged(omegas: np.ndarray, values: np.ndarray, w: np.ndarray, m: np.ndarray):
-    """(omegas, values) with the points (w, m) added, sorted by frequency."""
     order = np.argsort(np.concatenate([omegas, w]), kind="stable")
-    return np.concatenate([omegas, w])[order], np.concatenate([values, m])[order]
+    omegas = np.concatenate([omegas, w])[order]
+    values = np.concatenate([summary.values, freq_values(M, w)])[order]
+    witnesses = {}
+    for side, name in ((+1, "plus"), (-1, "minus")):
 
+        def choose(w, m, side=side):
+            return _minimax_line(side * m.real, side * w * m.imag, -Q_MAX, Q_MAX)
 
-def _optimize_popov_line(M: StateSpace, omegas: np.ndarray, values: np.ndarray, side: int):
-    """(q, c, gap): min_q sup_w f for side=+1, max_q inf_w f for side=-1.
-
-    Over the set S of points evaluated so far, phi_S(q) = max_k side * f(q,
-    w_k) is convex and lies below the sup over [0, wmax], so min phi_S
-    bounds the optimum from below while the certified c(q) bounds it from
-    above.  S starts as the points (omegas, values) that ``popov_bounds``
-    seeds: phi's subgradient is -side * w Im M at the binding w, so a smooth
-    optimum binds at a real-axis crossing, and the seeds' cuts pin it.  Each
-    round sets q to the exact argmin of phi_S (``_minimax_line``), certifies
-    c(q), and stops once gap = c(q) - min phi_S <= 2 * CERT_RTOL * |c|;
-    otherwise the certificate's points join S, kept sorted so that wmax
-    stays omegas[-1].  A loop that ends on CERT_ROUNDS, or at |q| = Q_MAX
-    with phi_S still falling beyond it, warns that the line is not shown
-    optimal.
-    """
-
-    def argmin(omegas, values):
-        a, b = side * values.real, side * omegas * values.imag
-        q = _minimax_line(a, b, -Q_MAX, Q_MAX)
-        k = int(np.argmax(a - q * b))
-        # min phi_S over the range bounds every q unless it sits at an end
+        c, q, w, m = _certified_max(M, lambda q, side=side: _popov_level(M, q, side),
+                                    omegas, values, choose)
+        # min phi_S bounds every slope unless it sits at an end of the range
         # where the line active still falls outward
-        return q, float(a[k] - q * b[k]), abs(q) == Q_MAX and q * b[k] > 0
-
-    q_next, low, outward = argmin(omegas, values)
-    for _ in range(CERT_ROUNDS):
-        q = q_next
-        c, w, m = _certified_max(M, *_popov_level(M, q, side), omegas, values)
-        omegas, values = _merged(omegas, values, w, m)
-        q_next, low, outward = argmin(omegas, values)
-        gap = c - low
-        if gap <= 2 * CERT_RTOL * abs(c):
-            break
-    if gap > 2 * CERT_RTOL * abs(c) or outward:
-        why = (f"the sampled intercept still falls past |q| = {Q_MAX!r}" if outward
-               else f"gap {gap!r} after {CERT_ROUNDS} rounds")
-        warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: {why}", stacklevel=3)
-    return q, side * c, gap
+        a, b, q_low = side * m.real, side * w * m.imag, choose(w, m)
+        k = int(np.argmax(a - q_low * b))
+        gap = c - float(a[k] - q_low * b[k])
+        outward = abs(q_low) == Q_MAX and q_low * b[k] > 0
+        if gap > 2 * CERT_RTOL * abs(c) or outward:
+            why = (f"the sampled intercept still falls past |q| = {Q_MAX!r}" if outward
+                   else f"gap {gap!r} after {CERT_ROUNDS} rounds")
+            warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: {why}",
+                          stacklevel=2)
+        witnesses |= {f"q_{name}": q, f"c_{name}": side * c, f"gap_{name}": gap}
+    return _interval_from_intercepts(
+        pos=witnesses["c_plus"], neg=witnesses["c_minus"], criterion="popov", witnesses=witnesses
+    )
 
 
 def _interval_from_intercepts(pos, neg, criterion, witnesses):

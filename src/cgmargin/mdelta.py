@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aircraft import UncertainPlant
-from .errors import DimensionError, UnstableFixedPartError, UnsupportedRankError
+from .errors import (DimensionError, RepresentationError, UnstableFixedPartError,
+                     UnsupportedRankError)
 from .lti import StateSpace
 
 RANK_RATIO_TOL = 1e-8
@@ -111,11 +112,15 @@ def model_of(H: np.ndarray, Qcal: np.ndarray, margin: float = 0.0) -> MDeltaMode
 
     For m != 0 it is built on H + m*I, so M is M(s - m) and every result read
     off it keeps the eigenvalues of H + delta*Qcal left of Re s = -m; for m = 0
-    it holds H itself, not a copy.  H need not be stable (see build_mdelta).
+    it holds H itself, not a copy.  H need not be stable (see build_mdelta),
+    but H + m*I and Qcal must be finite: an overflowed input is refused.
     """
     H = np.asarray(H, dtype=float)
     if margin != 0.0:
         H = H + margin * np.eye(H.shape[0])
+    for name, mat in (("H", H), ("Qcal", Qcal)):
+        if not np.isfinite(mat).all():
+            raise RepresentationError(f"{name} has an entry that is not finite: an input overflowed")
     sigma, v, w = rank_one_factor(Qcal)
     return MDeltaModel(H=H, Qcal=Qcal, sigma=sigma, v=v, w=w,
                        M=m_transfer(H, sigma, v, w), margin=margin)

@@ -85,13 +85,16 @@ class AnalysisResult:
 
 def build_session(config: AnalysisConfig) -> AnalysisSession:
     path = config.model_path or aircraft.default_model_path()
-    fc, dl = aircraft.load_model_file(path)
-    open_plant = aircraft.build_uncertain_plant(fc, dl)
-    augmented = aircraft.augment_uncertain_plant(open_plant, config.kq, config.kalpha)
-    controller = ss_from_zpk(
-        config.controller_zeros, config.controller_poles, config.controller_gain
-    )
-    model = mdelta.build_mdelta(augmented, controller, config.stability_margin)
+    # an input that overflows leaves an inf or nan in H or Qcal, which
+    # model_of refuses: one error, not a warning per numpy operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc, dl = aircraft.load_model_file(path)
+        open_plant = aircraft.build_uncertain_plant(fc, dl)
+        augmented = aircraft.augment_uncertain_plant(open_plant, config.kq, config.kalpha)
+        controller = ss_from_zpk(
+            config.controller_zeros, config.controller_poles, config.controller_gain
+        )
+        model = mdelta.build_mdelta(augmented, controller, config.stability_margin)
     summary = criteria.sample_locus(
         model.M, wmin=config.wmin, wmax=config.wmax, n=config.npoints
     )
@@ -230,8 +233,12 @@ def read_report(text: str) -> tuple[float | None, dict]:
     with no rows raises ValueError, and so does a row that names no criterion,
     repeats one, lacks two numeric bounds, has a lower bound not below its
     upper one or, with that column, lacks a numeric margin or records another
-    than the first row's, naming the first faulty line."""
+    than the first row's, naming the first faulty line.  So does a first line
+    whose fields do not start criterion,lower,upper."""
     rows = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if rows and rows[0][1].split(",")[:3] != ["criterion", "lower", "upper"]:
+        raise ValueError(f"line {rows[0][0]} is not a header starting criterion,lower,upper: "
+                         f"{rows[0][1]!r}")
     if len(rows) < 2:
         raise ValueError("the report holds no interval rows")
     header = rows[0][1].split(",")

@@ -76,7 +76,11 @@ class TestModelCommand:
         (["analyze", "--controller-zeros", "nan"], "zeros and poles must be finite"),
         (["analyze", "--wmin", "nan"], "frequency window"),
         (["analyze", "--wmax", "inf"], "frequency window"),
-    ], ids=["kq_nan", "kq_inf", "kalpha_inf", "pole_nan", "zero_nan", "wmin_nan", "wmax_inf"])
+        # finite, but H or Qcal overflows: LinAlgError and SVD tracebacks
+        (["analyze", "--kq", "1e308"], "H has an entry that is not finite"),
+        (["model", "--controller-gain", "1e308"], "H has an entry that is not finite"),
+    ], ids=["kq_nan", "kq_inf", "kalpha_inf", "pole_nan", "zero_nan", "wmin_nan", "wmax_inf",
+            "kq_overflow", "gain_overflow"])
     def test_nonfinite_input_is_one_error_line(self, runner, tmp_path, args, message):
         result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
@@ -104,6 +108,19 @@ class TestModelCommand:
         assert line.startswith(f"Error: {path}") and field in line
         if value != "-1.0":
             assert line.startswith(f"Error: {path}:{lineno + 1}: field {field!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "model"])
+    def test_overflowing_model_value_is_one_error_line(self, runner, tmp_path, command):
+        # Iy = 1e-320 is finite and positive, but the model built on it
+        # overflows: it ended in an "SVD did not converge" traceback
+        text = re.sub(r"(?m)^Iy = .*$", "Iy = 1e-320", default_model_path().read_text())
+        path = tmp_path / "tiny_iy.cfg"
+        path.write_text(text)
+        result = runner.invoke(main, [command, "--model", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == "Error: H has an entry that is not finite: an input overflowed\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_frequency_window(self, runner, tmp_path):
@@ -483,6 +500,25 @@ class TestVerifyCommand:
         assert isinstance(result.exception, SystemExit)   # no traceback
         assert result.output == (
             f"Error: {csv_path}: line 2 has a lower bound not below its upper bound: {row!r}\n"
+        )
+
+    @pytest.mark.parametrize("rows", [
+        "exact,-16.39,0.5123,0,0,0.0,\npopov,-11.5,0.5,0,0,0.0,\n",
+        "\nexact,-16.39,0.5123,0,0,0.0,\n",
+    ], ids=["two_rows", "one_row_after_a_blank_line"])
+    def test_headerless_report_refused(self, runner, tmp_path, rows):
+        # the first nonblank line was taken as the header unchecked: two
+        # header-less rows were read as one without a stability margin, and
+        # one row as a report without rows
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_text(rows)
+        result = runner.invoke(main, ["verify", "--results", str(csv_path), "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        lineno, line = [(i, ln) for i, ln in enumerate(rows.splitlines(), start=1) if ln][0]
+        assert result.output == (
+            f"Error: {csv_path}: line {lineno} is not a header starting criterion,lower,upper: "
+            f"{line!r}\n"
         )
 
     def test_first_faulty_line_is_named(self, runner, tmp_path):

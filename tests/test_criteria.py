@@ -249,16 +249,30 @@ def _window_sweep(M, oracle):
 
 
 def _recorded_grids(monkeypatch):
-    """The list that the omegas of every later _certified_max call join."""
+    """The list that (omegas passed in, every w evaluated) of each later
+    _certified_max call joins."""
     grids = []
     certified_max = criteria._certified_max
 
-    def recorded(M, f, crossings, limit, omegas, values):
-        grids.append(omegas)
-        return certified_max(M, f, crossings, limit, omegas, values)
+    def recorded(M, family, omegas, values, choose=None):
+        out = certified_max(M, family, omegas, values, choose)
+        grids.append((omegas, out[2]))
+        return out
 
     monkeypatch.setattr(criteria, "_certified_max", recorded)
     return grids
+
+
+def _recorded_solves(monkeypatch):
+    """The list that the arguments of every later crossing solve join."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return imaginary_zeros(*args)
+
+    monkeypatch.setattr(criteria, "imaginary_zeros", counted)
+    return calls
 
 
 class TestCertificate:
@@ -333,39 +347,37 @@ class TestCertificate:
     def test_one_solve_per_certificate(self, session, monkeypatch):
         # the parabola seeds put the first level within CERT_RTOL of the
         # peak, so no crossing pair is left: one eigen solve per maximum
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return imaginary_zeros(*args)
-
-        monkeypatch.setattr(criteria, "imaginary_zeros", counted)
+        calls = _recorded_solves(monkeypatch)
         small_gain_bounds(session.summary)
         assert len(calls) == 1
         positive_real_bounds(session.summary)
         assert len(calls) == 1 + 2   # x_max and x_min
 
     def test_popov_merge_keeps_window(self, session, monkeypatch):
-        # Popov's rounds on an 8-point grid add the certificates' points to
-        # the samples; an unsorted merge moved omegas[-1], the window end
-        # that each certificate reads, onto an interior point
+        # Popov's rounds on an 8-point grid evaluate many points beyond the
+        # samples; the window end wmax is read once, as omegas[-1] of the
+        # sorted set passed in (an unsorted merge once moved it onto an
+        # interior point), and no point evaluated lies past it
         coarse = sample_locus(session.model.M, n=8)
         wmax = coarse.omegas[-1]
         grids = _recorded_grids(monkeypatch)
         popov_bounds(coarse)
-        assert len(grids) > 4
-        for omegas in grids:
+        assert len(grids) == 2   # one loop per side
+        for omegas, w in grids:
             assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
+            assert w.size > omegas.size and w.max() <= wmax
 
-    @pytest.mark.parametrize("window, most", [({}, 3), ({"n": 8}, 5), ({"wmin": 1.0}, 4)])
+    @pytest.mark.parametrize("window, most", [({}, 2), ({"n": 8}, 6), ({"wmin": 1.0}, 6)])
     def test_popov_certificates_per_call(self, session, monkeypatch, window, most):
         # seeded with the real-axis crossings, Popov upper's smooth optimum
-        # at w = 0.848 settles in one or two certificates; tangent cuts alone
-        # took 9, 17 and 17 certificates here
+        # at w = 0.848 settles in one crossing solve per side at the default
+        # window.  One loop per side takes one solve per round; a full
+        # certificate at each trial slope took 3, 12 and 8 solves here, and
+        # tangent cuts alone 9, 17 and 17 certificates
         s = sample_locus(session.model.M, **window)
-        grids = _recorded_grids(monkeypatch)
+        calls = _recorded_solves(monkeypatch)
         w = popov_bounds(s).witnesses
-        assert len(grids) <= most
+        assert len(calls) <= most
         assert w["gap_plus"] <= 2e-8 * abs(w["c_plus"])
         assert w["gap_minus"] <= 2e-8 * abs(w["c_minus"])
 
@@ -434,8 +446,9 @@ class TestCertificate:
             popov_bounds(s)
         assert [str(w.message) for w in caught] == expected
         assert grids
-        for omegas in grids:
+        for omegas, w in grids:
             assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
+            assert w.max() <= wmax
 
     def test_certified_below_wmin(self, session):
         # each certificate's crossings start at w = 0, so it covers [0, wmax],

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cgmargin.errors import DimensionError, UnstableFixedPartError, UnsupportedRankError
+from cgmargin.errors import (DimensionError, RepresentationError, UnstableFixedPartError,
+                             UnsupportedRankError)
 from cgmargin.lti import StateSpace, ss_from_zpk, zpk_of_ss
 from cgmargin.mdelta import (
     build_mdelta,
@@ -164,6 +165,15 @@ class TestModelOf:
         shifted = model_of(H, Qcal, margin=0.2)
         assert np.array_equal(shifted.H, H + 0.2 * np.eye(8))
         assert shifted.M.A is shifted.H and shifted.margin == 0.2
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["H", "Qcal"])
+    def test_nonfinite_entry_refused(self, session, name, value):
+        # an inf in H was held without complaint; one in Qcal failed the SVD
+        mats = {"H": session.model.H.copy(), "Qcal": session.model.Qcal.copy()}
+        mats[name][0, 1] = value
+        with pytest.raises(RepresentationError, match=f"^{name} has an entry that is not finite"):
+            model_of(mats["H"], mats["Qcal"])
 
 
 class TestBuildMDelta:
