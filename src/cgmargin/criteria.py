@@ -18,8 +18,9 @@ planes, J. SIAM 8, 1960), raises the level to the largest of those points,
 and makes one crossing solve: the jw-axis zeros of one para-Hermitian
 function either certify the level or bound the intervals where the next
 points go (Bruinsma and Steinbuch, Systems & Control Letters 14, 1990;
-Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).  The certificate holds over
-[0, wmax], below wmin included, not beyond wmax.
+Boyd, Balakrishnan and Kabamba, MCSS 2, 1989).  Starting from the samples
+and from M's own frequencies, its poles' |lambda| and its real-axis
+crossings, the certificate holds over [0, wmax] whatever the window.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 SEED_RTOL = 1e-3
 
 # Popov slopes lie in [-Q_MAX, Q_MAX]: past it an intercept still falling as K/|q|
-# moves by at most K * CERT_RTOL (K = 0.28 for c = 1 where M'(0) = 0).  The cuts
-# start from the samples and each real-axis crossing w* of M at w*(1 +- SEED_EPS)
+# moves by at most K * CERT_RTOL (K = 0.28 for c = 1 where M'(0) = 0)
 Q_MAX = 1.0 / CERT_RTOL
+# certificates start at each real-axis crossing w* of M and w*(1 +- SEED_EPS)
 SEED_EPS = 1e-6
 
 # verify_interval's eigen solves run on two threads when two CPUs are free
@@ -154,9 +155,12 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
     ``omegas``, sorted, w = 0 and wmax = omegas[-1] among them.  Also
     returns every point evaluated, the samples among them, with its M(jw).
 
-    The points start as the samples plus one parabola step at each near-top
-    sampled peak of f (``_parabola_seeds``, at the x the samples give).  Each
-    round then
+    The points start as the samples plus, up to wmax and in one
+    ``freq_values`` call, one parabola step at each near-top sampled peak of
+    f (``_parabola_seeds``, at the x the samples give), |lambda| for each
+    pole lambda of M and each real-axis crossing w* > 0 of M and w*(1 +-
+    SEED_EPS): points where the locus lives, whatever the window.  Each round
+    then
     - sets x: 0 without ``choose`` (a pinned parameter), else ``choose(w,
       m)`` of every point so far (a searched one);
     - sets the level to the largest f over every point so far, and tol =
@@ -182,7 +186,9 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
     wmax = omegas[-1]
     x = choose(omegas, values) if choose else 0.0
     f, crossings, limit = family(x)
-    seeds = _parabola_seeds(omegas, f(values, omegas))
+    trio = np.outer([wk for wk, _ in M.real_crossings], [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS])
+    seeds = np.concatenate([_parabola_seeds(omegas, f(values, omegas)), np.abs(M.poles), trio.ravel()])
+    seeds = seeds[(seeds > 0) & (seeds <= wmax)]
     w = np.concatenate([omegas, seeds])
     m = np.concatenate([values, freq_values(M, seeds)])
     for _ in range(CERT_ROUNDS):
@@ -354,21 +360,13 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     ``gap_plus``/``gap_minus``, c less min phi_S over the final S, bound how
     far c lies from the optimum over every slope.
 
-    S starts as the samples plus each real-axis crossing w* of M in (0,
-    wmax] and w*(1 +- SEED_EPS) up to wmax, evaluated in one ``freq_values``
-    call for both sides.  phi's subgradient is -side * w Im M at the binding
-    w, so a smooth optimum binds at a real-axis crossing, and these cuts pin
-    it.  A gap above 2 * CERT_RTOL * |c|, or a final argmin at |q| = Q_MAX
-    with phi_S still falling beyond it, warns that the line is not shown
-    optimal.
+    phi's subgradient is -side * w Im M at the binding w, so a smooth
+    optimum binds at a real-axis crossing of M, and the cuts that start
+    every certificate at each crossing and its two neighbours pin it.  A gap
+    above 2 * CERT_RTOL * |c|, or a final argmin at |q| = Q_MAX with phi_S
+    still falling beyond it, warns that the line is not shown optimal.
     """
-    M, omegas = summary.system, summary.omegas
-    w = np.array([wk for wk, _ in M.real_crossings if 0.0 < wk <= omegas[-1]])
-    w = np.outer(w, [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS]).ravel()
-    w = w[w <= omegas[-1]]
-    order = np.argsort(np.concatenate([omegas, w]), kind="stable")
-    omegas = np.concatenate([omegas, w])[order]
-    values = np.concatenate([summary.values, freq_values(M, w)])[order]
+    M, omegas, values = summary.system, summary.omegas, summary.values
     witnesses = {}
     for side, name in ((+1, "plus"), (-1, "minus")):
 

@@ -51,6 +51,17 @@ from conftest import (
 
 DENSE_OMEGAS = np.logspace(-4, 4, 1_000_000)
 
+# w = 0, 200,001 log-spaced w over [1e-6, 1e6], where the poles of the
+# aircraft and of the n = 32 random models lie, and one w per decade beyond,
+# up to 1e300
+SWEEP_OMEGAS = np.concatenate([[0.0], np.logspace(-6, 6, 200_001), np.logspace(7, 300, 294)])
+
+# windows no sample of which need land near the locus: [1e-300, 1e300],
+# below its bulk (wmax = 0.01), above it (wmin = 1), sparse (8 points), and
+# the default
+WINDOWS = [{"wmin": 1e-300, "wmax": 1e300, "n": 10}, {"wmin": 1e-300, "wmax": 1e300, "n": 40},
+           {"wmax": 0.01}, {"n": 8}, {"wmin": 1.0}, {}]
+
 # 1/(s^3 + 2s^2 + s + 1): relative degree 3, M(0) = 1 and M(j1) = -1 exactly
 REL3 = StateSpace(
     [[-2.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
@@ -248,6 +259,26 @@ def _window_sweep(M, oracle):
     return w, np.array([M.evaluate(1j * wk)[0, 0] for wk in w])
 
 
+def _graphical_witnesses(locus):
+    """The witnesses of the four graphical criteria on ``locus``, in one dict."""
+    return {k: v for bounds in (small_gain_bounds, circle_bounds, positive_real_bounds, popov_bounds)
+            for k, v in bounds(locus).witnesses.items()}
+
+
+def _assert_encloses(witnesses, w, m):
+    """Each graphical witness encloses the points (w, M(jw)): the circles
+    and the vertical lines to 1e-9 max|M|, each Popov line to 1e-9 of its
+    largest |side * Re[(1 + jqw) M(jw)]|."""
+    slack = 1e-9 * np.abs(m).max()
+    assert np.abs(m).max() <= witnesses["r_sg"] + slack
+    assert np.abs(m - witnesses["x_c"]).max() <= witnesses["r_c"] + slack
+    assert witnesses["x_min"] - slack <= m.real.min()
+    assert m.real.max() <= witnesses["x_max"] + slack
+    for side, name in ((1, "plus"), (-1, "minus")):
+        f = side * (m.real - witnesses[f"q_{name}"] * w * m.imag)
+        assert f.max() <= side * witnesses[f"c_{name}"] + 1e-9 * np.abs(f).max()
+
+
 def _recorded_grids(monkeypatch):
     """The list that (omegas passed in, every w evaluated) of each later
     _certified_max call joins."""
@@ -382,23 +413,46 @@ class TestCertificate:
         assert w["gap_minus"] <= 2e-8 * abs(w["c_minus"])
 
     def test_popov_evaluates_seeds_once(self, session, monkeypatch):
-        # both sides start from one seeded point set: the real-axis crossings
-        # of M go through freq_values in one call, not one call per side
+        # every certificate starts from the same kind of points, all taken in
+        # one freq_values call: its parabola steps, |lambda| for each pole of
+        # M and each real-axis crossing w* of M with w*(1 +- SEED_EPS), up to
+        # wmax.  popov_bounds makes no call of its own: 2 on the aircraft, one
+        # per side, where a separate call for the crossings made 3
         s = session.summary
-        w = real_value_frequencies(s.system)
-        w = w[(w > 0) & (w <= s.omegas[-1])]
-        s.system.real_crossings   # cached on M before counting
-        calls = []
+        M, wmax = s.system, s.omegas[-1]
+        w = np.array([wk for wk, _ in M.real_crossings if wk > 0])
+        w = np.outer(w, [1.0 - criteria.SEED_EPS, 1.0, 1.0 + criteria.SEED_EPS]).ravel()
+        modal = np.concatenate([np.abs(M.poles), w])
+        modal = modal[modal <= wmax]
+        calls, starts = [], []
+        parabola_seeds, certified_max = criteria._parabola_seeds, criteria._certified_max
 
-        def recorded(M, omegas):
+        def recorded_values(M, omegas):
             calls.append(np.asarray(omegas))
             return freq_values(M, omegas)
 
-        monkeypatch.setattr(criteria, "freq_values", recorded)
+        def recorded_steps(omegas, fv):
+            steps = parabola_seeds(omegas, fv)
+            starts.append(np.concatenate([steps, modal]))
+            return steps
+
+        def recorded_max(*args, **kwargs):
+            first = len(calls)
+            out = certified_max(*args, **kwargs)
+            assert len(calls) > first and np.isin(starts[-1], calls[first]).all()
+            assert not any(np.isin(starts[-1], om).any() for om in calls[first + 1:])
+            return out
+
+        monkeypatch.setattr(criteria, "freq_values", recorded_values)
+        monkeypatch.setattr(criteria, "_parabola_seeds", recorded_steps)
+        monkeypatch.setattr(criteria, "_certified_max", recorded_max)
+        assert modal.size
+        for bounds in (small_gain_bounds, circle_bounds, positive_real_bounds):
+            bounds(s)
+        assert len(starts) == 4
+        calls.clear()
         popov_bounds(s)
-        seeded = [om for om in calls if np.isin(w, om).any()]
-        assert w.size and len(seeded) == 1
-        assert np.isin(w, seeded[0]).all()
+        assert len(starts) == 6 and len(calls) == 2
 
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
         # the crossing set is cached on M: whichever of exact_bounds and
@@ -476,17 +530,37 @@ class TestCertificate:
         # the modal oracle is off by up to 1e30 on the defective H of these two
         oracle = "per_point" if case in ("jordan_block", "flat_at_origin") else "modal"
         w, m = _window_sweep(M, oracle)
-        slack = 1e-9 * np.abs(m).max()
-        r_sg = small_gain_bounds(s).witnesses["r_sg"]
-        circle = circle_bounds(s).witnesses
-        pr = positive_real_bounds(s).witnesses
-        popov = popov_bounds(s).witnesses
-        assert np.abs(m).max() <= r_sg + slack
-        assert np.abs(m - circle["x_c"]).max() <= circle["r_c"] + slack
-        assert pr["x_min"] - slack <= m.real.min() and m.real.max() <= pr["x_max"] + slack
-        for q, c, side in ((popov["q_plus"], popov["c_plus"], 1), (popov["q_minus"], popov["c_minus"], -1)):
-            f = side * (m.real - q * w * m.imag)
-            assert f.max() <= side * c + 1e-9 * np.abs(f).max()
+        _assert_encloses(_graphical_witnesses(s), w, m)
+
+    @pytest.mark.parametrize("npoints", [10, 40])
+    def test_extreme_window_sound(self, npoints):
+        # no sample of [1e-300, 1e300] lands near the aircraft's locus.  A
+        # certificate that started from the samples alone read r_sg =
+        # 1.04e-7 at 40 points (2.9e-14 at 10) against 1.96519, and small
+        # gain and circle failed their audits; M's own frequencies start it
+        # where the locus lives
+        result = run_analysis(AnalysisConfig(wmin=1e-300, wmax=1e300, npoints=npoints))
+        assert len(result.reports) == 5 and result.all_sound
+        assert result.intervals["small_gain"].witnesses["r_sg"] == pytest.approx(1.96519, rel=1e-5)
+        witnesses = {k: v for iv in result.intervals.values() for k, v in iv.witnesses.items()}
+        m = dense_response(result.session.model.M, SWEEP_OMEGAS)
+        _assert_encloses(witnesses, SWEEP_OMEGAS, m)
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    @pytest.mark.parametrize("case", ["aircraft", 1, 3, 5])
+    def test_every_window_sound(self, session, case):
+        # every witness holds on [0, wmax] whatever the window: the aircraft
+        # and three n = 32 random models (seed 1) at each of WINDOWS
+        if case == "aircraft":
+            M = session.model.M
+        else:
+            rng = np.random.default_rng(1)
+            M = [random_rank_one_model(rng, n=32) for _ in range(case + 1)][-1].M
+        m = dense_response(M, SWEEP_OMEGAS)
+        for window in WINDOWS:
+            s = sample_locus(M, **window)
+            keep = SWEEP_OMEGAS <= s.omegas[-1]
+            _assert_encloses(_graphical_witnesses(s), SWEEP_OMEGAS[keep], m[keep])
 
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     def test_flat_origin_popov_reaches_exact(self):
