@@ -62,9 +62,6 @@ _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 # parabola step in log w before the first certificate solve
 SEED_RTOL = 1e-3
 
-# Popov slopes lie in [-Q_MAX, Q_MAX]: past it an intercept still falling as K/|q|
-# moves by at most K * CERT_RTOL (K = 0.28 for c = 1 where M'(0) = 0)
-Q_MAX = 1.0 / CERT_RTOL
 # certificates start at each real-axis crossing w* of M and w*(1 +- SEED_EPS)
 SEED_EPS = 1e-6
 
@@ -217,27 +214,26 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
     return level + tol, x, w, m
 
 
-def _minimax_line(a: np.ndarray, b: np.ndarray, lo: float, hi: float, quad: bool = False):
-    """Exact argmin, a float, of phi(x) = max_k (a_k - x b_k) (+ x^2 if ``quad``) on [lo, hi].
+def _minimax_line(a: np.ndarray, b: np.ndarray, quad: bool = False):
+    """Exact argmin, a float, of phi(x) = max_k (a_k - x b_k) (+ x^2 if ``quad``).
 
-    phi is convex.  Keep two lines: L, active where phi falls, and R,
-    active where it rises.  The minimizer of max(L, R) (their intersection,
-    or with x^2 the vertex of one of them) is phi's once the line active
-    there is no higher than the pair; otherwise that line replaces L or R
-    by the sign of phi's slope along it.  Each step is one pass over the
-    lines.  A step count past the number of lines, which rounding alone
-    could cause, ends the search at the last point.
+    phi is convex, with a minimum if ``quad`` or if some b_k > 0 > b_j.  Keep
+    two lines: L, active where phi falls, and R, active where it rises,
+    starting from those active as x -> -inf and +inf.  The minimizer of
+    max(L, R) (their intersection, or with x^2 the vertex of one of them) is
+    phi's once the line active there is no higher than the pair; otherwise
+    that line replaces L or R by the sign of phi's slope along it.  Each
+    step is one pass over the lines.  A step count past the number of
+    lines, which rounding alone could cause, ends at the last point.
     """
     k2 = 2.0 if quad else 0.0
 
     def active(x):
         return int(np.argmax(a - x * b))
 
-    L, R = active(lo), active(hi)
-    if k2 * lo - b[L] >= 0:
-        return float(lo)
-    if k2 * hi - b[R] <= 0:
-        return float(hi)
+    # the largest b and the largest -b, ties broken by the largest a
+    top, bottom = np.flatnonzero(b == b.max()), np.flatnonzero(b == b.min())
+    L, R = int(top[np.argmax(a[top])]), int(bottom[np.argmax(a[bottom])])
     for _ in range(a.size):
         x = 0.5 * b[L] if b[L] == b[R] else (a[L] - a[R]) / (b[L] - b[R])
         if quad:
@@ -316,12 +312,8 @@ def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> Stability
     """
     if center != "optimal":
         raise ValueError(f"unknown center mode {center!r}")
-    # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x): its minimizer lies between the
-    # extreme real parts
-    X = summary.values.real
-    x_c = _minimax_line(
-        np.abs(summary.values) ** 2, 2.0 * X, float(X.min()), float(X.max()), quad=True
-    )
+    # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x)
+    x_c = _minimax_line(np.abs(summary.values) ** 2, 2.0 * summary.values.real, quad=True)
     M = summary.system
     r_c = _certified_max(M, lambda x: _modulus_level(M, x), summary.omegas, summary.values,
                          choose=lambda w, m: x_c)[0]
@@ -350,42 +342,45 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Popov lines on the plot of w*Im[M(jw)] vs Re[M(jw)].
 
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
-    c+ = min_q sup_w f and the left line intercept is c- = max_q inf_w f,
-    over |q| <= Q_MAX; q = 0 gives the positive real criterion's vertical
-    lines.  Each side is one ``_certified_max`` whose ``choose`` is Kelley's
-    cutting plane (J. SIAM 8, 1960): over the set S of points evaluated so
-    far, phi_S(q) = max_k side * f(q, w_k) is convex and lies below the sup
-    over [0, wmax], and q is its exact argmin (``_minimax_line``).  So every
-    reported line (q, c) encloses the continuous locus on [0, wmax], and
-    ``gap_plus``/``gap_minus``, c less min phi_S over the final S, bound how
-    far c lies from the optimum over every slope.
+    c+ = inf_q sup_w f and the left line intercept is c- = sup_q inf_w f,
+    over every real q; q = 0 gives the positive real criterion's vertical
+    lines.  At w = 0 and at M's real-axis crossings w Im M = 0, so side * c
+    is at least the largest side * Re M there.  If w Im M keeps one sign on
+    (0, wmax], that bound is the limit as side * q * w Im M -> +inf: both
+    sides read it, q = +-inf (the real axis) with gap 0.  The sign can change
+    only at a crossing, so the samples and one point inside each gap between
+    w = 0, the crossings in (0, wmax] and wmax settle it.
 
-    phi's subgradient is -side * w Im M at the binding w, so a smooth
-    optimum binds at a real-axis crossing of M, and the cuts that start
-    every certificate at each crossing and its two neighbours pin it.  A gap
-    above 2 * CERT_RTOL * |c|, or a final argmin at |q| = Q_MAX with phi_S
-    still falling beyond it, warns that the line is not shown optimal.
+    Otherwise each side is one ``_certified_max`` whose ``choose`` is
+    Kelley's cutting plane (J. SIAM 8, 1960): over the set S of points
+    evaluated so far, phi_S(q) = max_k side * f(q, w_k) is convex and lies
+    below the sup over [0, wmax], and q is its exact argmin
+    (``_minimax_line``), bounded as S starts on both sides of each crossing.
+    So every reported line (q, c) encloses the continuous locus on [0,
+    wmax], and ``gap_plus``/``gap_minus``, c less min phi_S over the final
+    S, bound how far c lies from the optimum over every slope; a gap above
+    2 * CERT_RTOL * |c| warns that the line is not shown optimal.
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
+    axis = [(0.0, values[0].real)] + [p for p in M.real_crossings if 0 < p[0] <= omegas[-1]]
+    ends = np.array([wk for wk, _ in axis] + [omegas[-1]])
+    mid = 0.5 * (ends[:-1] + ends[1:])[np.diff(ends) > 0]
+    turn = np.concatenate([omegas * values.imag, mid * freq_values(M, mid).imag])
+    sign = 1.0 if (turn > 0).any() else -1.0
     witnesses = {}
     for side, name in ((+1, "plus"), (-1, "minus")):
-
-        def choose(w, m, side=side):
-            return _minimax_line(side * m.real, side * w * m.imag, -Q_MAX, Q_MAX)
-
-        c, q, w, m = _certified_max(M, lambda q, side=side: _popov_level(M, q, side),
-                                    omegas, values, choose)
-        # min phi_S bounds every slope unless it sits at an end of the range
-        # where the line active still falls outward
-        a, b, q_low = side * m.real, side * w * m.imag, choose(w, m)
-        k = int(np.argmax(a - q_low * b))
-        gap = c - float(a[k] - q_low * b[k])
-        outward = abs(q_low) == Q_MAX and q_low * b[k] > 0
-        if gap > 2 * CERT_RTOL * abs(c) or outward:
-            why = (f"the sampled intercept still falls past |q| = {Q_MAX!r}" if outward
-                   else f"gap {gap!r} after {CERT_ROUNDS} rounds")
-            warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: {why}",
-                          stacklevel=2)
+        if not (sign * turn < 0).any():   # one sign: the limit line
+            q, c, gap = math.copysign(math.inf, side * sign), float(max(side * x for _, x in axis)), 0.0
+        else:
+            def choose(w, m, side=side):
+                return _minimax_line(side * m.real, side * w * m.imag)
+            c, q, w, m = _certified_max(M, lambda q, side=side: _popov_level(M, q, side),
+                                        omegas, values, choose)
+            a, b, q_low = side * m.real, side * w * m.imag, choose(w, m)
+            gap = c - float((a - q_low * b).max())
+            if gap > 2 * CERT_RTOL * abs(c):
+                warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: "
+                              f"gap {gap!r} after {CERT_ROUNDS} rounds", stacklevel=2)
         witnesses |= {f"q_{name}": q, f"c_{name}": side * c, f"gap_{name}": gap}
     return _interval_from_intercepts(
         pos=witnesses["c_plus"], neg=witnesses["c_minus"], criterion="popov", witnesses=witnesses

@@ -115,8 +115,9 @@ def _circle(x: float, r: float):
 
 
 def _lines(*lines):
-    """Popov lines (slope q, intercept c), and their real-axis intercepts."""
-    return [("line", q, c, 0.0) for q, c in lines], tuple(c for _, c in lines)
+    """Popov lines (slope q, intercept c), and their real-axis intercepts.  A
+    line of slope +-inf is the real axis, which the axes draw: it has no row."""
+    return [("line", q, c, 0.0) for q, c in lines if np.isfinite(q)], tuple(c for _, c in lines)
 
 
 @dataclass(frozen=True)

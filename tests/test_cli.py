@@ -262,6 +262,19 @@ class TestPlotCommand:
         assert len(lines) == 2
         assert not (out / "fig_popov.svg").exists()
 
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign", "error::RuntimeWarning")
+    def test_real_axis_lines_have_no_row(self, runner, tmp_path):
+        # below the crossings, at --wmax 0.01, w Im M keeps one sign: both
+        # Popov lines are the real axis (q = +-inf), which the axes draw.
+        # The CSV holds their two markers and no line row, every value
+        # finite, and the figure renders with no RuntimeWarning
+        run_ok(runner, ["plot", "popov", "--wmax", "0.01", "--out", str(tmp_path)])
+        text = (tmp_path / "locus_popov.csv").read_text()
+        rows = svgplot.csv_to_rows(text)
+        assert [k for k, *_ in rows if k != "sample"] == ["marker", "marker"]
+        assert np.isfinite([r[1:] for r in rows]).all() and "inf" not in text
+        assert (tmp_path / "fig_popov.svg").read_text().endswith("</svg>\n")
+
     def test_posreal_rows_are_lines_of_slope_0(self, runner, tmp_path, result):
         run_ok(runner, ["plot", "nyquist_posreal", "--format", "csv", "--out", str(tmp_path)])
         rows = svgplot.csv_to_rows((tmp_path / "locus_nyquist_posreal.csv").read_text())
