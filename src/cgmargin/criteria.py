@@ -347,9 +347,11 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     lines.  At w = 0 and at M's real-axis crossings w Im M = 0, so side * c
     is at least the largest side * Re M there.  If w Im M keeps one sign on
     (0, wmax], that bound is the limit as side * q * w Im M -> +inf: both
-    sides read it, q = +-inf (the real axis) with gap 0.  The sign can change
-    only at a crossing, so the samples and one point inside each gap between
-    w = 0, the crossings in (0, wmax] and wmax settle it.
+    sides read it, q = +-inf (the real axis) with gap 0.  The sign changes
+    only at crossings (M's jw-axis zeros among them, at x = 0.0; inside a run
+    that ``real_crossings`` merges, M is real to AXIS_RTOL and a change reads
+    as a touch, as in ``exact_bounds``), so the samples and one point inside
+    each gap between w = 0, the crossings in (0, wmax] and wmax settle it.
 
     Otherwise each side is one ``_certified_max`` whose ``choose`` is
     Kelley's cutting plane (J. SIAM 8, 1960): over the set S of points
@@ -512,7 +514,7 @@ def verify_interval(
     crossings = tuple(
         (-1.0 / x, w)
         for w, x in model.M.real_crossings
-        if interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
+        if x and interval.lower + INSIDE_RTOL / abs(x) < -1.0 / x < interval.upper - INSIDE_RTOL / abs(x)
     )
     notes = ""
     if n_samples == 0:

@@ -49,7 +49,7 @@ AXIS_RTOL = 1e-8
 # zero at any scale.  Such a feedthrough d is solved as d = 0 (imaginary_zeros):
 # b c / d outweighs A by 1/D_RTOL, and the d != 0 solve loses on-axis zeros (0.20
 # and 2.20 rad/s of -Re M on the aircraft, at ratios up to 2.9e-12; no benchmark
-# solve is below 3.2e-9).  Such a real value of M(jw) is no crossing (real_crossings:
+# solve is below 3.2e-9).  Such a real value of M(jw) is a crossing at 0.0 (real_crossings:
 # the aircraft's M(0) = 0 is at 1.4e-12; no benchmark crossing is below 6.5e-4)
 D_RTOL = 1e-10
 
@@ -139,15 +139,16 @@ class StateSpace:
 
     @cached_property
     def real_crossings(self) -> tuple:
-        """Every (w, x) with x = M(jw) real, w >= 0 and x not a rounding zero
-        (D_RTOL; SISO): w = 0 and the jw-axis zeros of M(s) - M(-s), realized as
-        (diag(A, -A), [b; b], [c, c]), plus each zero z within sqrt(AXIS_RTOL) *
-        |z| of the axis where M(jw) is real to AXIS_RTOL * |M(jw)|: where M(jw)
-        touches the real axis the zero is double, and splits in two about
-        sqrt(eps) apart.  A run of crossings each within sqrt(AXIS_RTOL) * w of
-        the next is one crossing, at the run's midpoint, where M is real there.
-        On M(s - m), built at a stability margin m, these are the crossings on
-        Re s = -m.  Computed on first use and kept."""
+        """Every (w, x) with x = M(jw) real and w >= 0 (SISO), x = 0.0 where it
+        is a rounding zero (D_RTOL), as at a jw-axis zero of M: w = 0 and the
+        jw-axis zeros of M(s) - M(-s), realized as (diag(A, -A), [b; b], [c,
+        c]), plus each zero z within sqrt(AXIS_RTOL) * |z| of the axis where
+        M(jw) is real to AXIS_RTOL * |M(jw)|: where M(jw) touches the real axis
+        the zero is double, and splits in two about sqrt(eps) apart.  A run of
+        crossings each within sqrt(AXIS_RTOL) * w of the next is one crossing,
+        at the run's midpoint, where M is real there.  On M(s - m), built at a
+        stability margin m, these are the crossings on Re s = -m.  Computed on
+        first use and kept."""
         A, b, c, zero = self.A, self.B[:, 0], self.C[0], np.zeros_like(self.A)
         A2 = np.block([[A, zero], [zero, -A]])
         z = _zero_dynamics(A2, np.concatenate([b, b]), np.concatenate([c, c]), 0.0)[0]
@@ -155,7 +156,6 @@ class StateSpace:
         z = np.concatenate([[0.0], z[np.argsort(z.imag)]])
         m = freq_values(self, z.imag)
         keep = (np.abs(z.real) <= AXIS_RTOL * np.abs(z)) | (np.abs(m.imag) <= AXIS_RTOL * np.abs(m))
-        keep &= np.abs(m.real) * np.linalg.norm(A) > D_RTOL * np.linalg.norm(b) * np.linalg.norm(c)
         w, x = z.imag[keep], m.real[keep]
         gaps = np.flatnonzero(np.diff(w) > math.sqrt(AXIS_RTOL) * w[1:]) + 1
         runs = [r for r in np.split(np.arange(w.size), gaps) if r.size > 1]
@@ -163,6 +163,7 @@ class StateSpace:
         for r, wm, xm in zip(runs, mid, freq_values(self, mid)):
             if abs(xm.imag) <= AXIS_RTOL * abs(xm):
                 w[r], x[r] = wm, xm.real
+        x[np.abs(x) * np.linalg.norm(A) <= D_RTOL * np.linalg.norm(b) * np.linalg.norm(c)] = 0.0
         keep = np.diff(w, prepend=-1.0) > 0   # drop repeats, merged runs among them
         return tuple(zip(w[keep].tolist(), x[keep].tolist()))
 

@@ -106,6 +106,11 @@ def _hard_case(name):
         # lower bound -1/M(0) must still be found
         M = ss_from_zpk([-1.0 / 3.0], [-1.0, -1.0, -1.0], 3.0)
         return model_of(M.A, -M.B @ M.C)
+    if name == "jw_axis_zero":
+        # M = (s^2 + 1)/(s + 1)^3 is 0 at w = 1, where w Im M changes sign;
+        # its other crossings are M(0) = 1 and M(j sqrt 3) = 0.25
+        M = ss_from_zpk([1j, -1j], [-1.0, -1.0, -1.0], 1.0)
+        return model_of(M.A, -M.B @ M.C)
     if name == "near_cancellation":
         # a pair at w = 3 with damping 1e-3 whose input residue is 1e-6, so a
         # zero of M lies next to each of its poles, beside a stable random 6 x
@@ -123,18 +128,20 @@ def _hard_case(name):
     return build_session(AnalysisConfig(stability_margin=AIRCRAFT_MARGIN)).model
 
 
-def _touch_model(seed, at_origin):
+def _touch_model(seed, at_origin, tilt=0.0):
     """A 6-state model whose M(jw) touches the real axis at w = 1 with M(j) =
     -5, so that the exact upper bound is 0.2 wherever the touch binds.  c is
-    the least-norm solution of Re M(j) = -5, Im M(j) = 0, d/dw Im M(jw) = 0
-    at w = 1 and, if ``at_origin``, M(0) = 1; M(s) = c (sI - A)^-1 b."""
+    the least-norm solution of Re M(j) = -5, Im M(j) = ``tilt``, d/dw Im
+    M(jw) = 0 at w = 1 and, if ``at_origin``, M(0) = 1; M(s) = c (sI -
+    A)^-1 b.  A small tilt of the right sign turns the touch into a small
+    excursion past the real axis, between two crossings near w = 1."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(6, 6))
     A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(6)
     b = rng.normal(size=6)
     g = np.linalg.solve(1j * np.eye(6) - A, b)
     dg = -1j * np.linalg.solve(1j * np.eye(6) - A, g)
-    rows, rhs = [g.real, g.imag, dg.imag], [-5.0, 0.0, 0.0]
+    rows, rhs = [g.real, g.imag, dg.imag], [-5.0, tilt, 0.0]
     if at_origin:
         rows, rhs = rows + [-np.linalg.solve(A, b)], rhs + [1.0]
     c = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
@@ -261,12 +268,14 @@ def _graphical_witnesses(locus):
 def _assert_popov_line(q, c, side, w, m, slack):
     """The Popov line (q, c) on ``side`` encloses the points (w, M(jw)):
     side * Re[(1 + jqw) M] <= side * c + slack.  A slope of +-inf is the
-    real axis: each point whose side * Re M lies beyond side * c + slack
-    must have sign(q) * side * w Im M > 0, so that the line's finite slopes
-    leave it inside as |q| grows."""
+    real axis, the limit of finite slopes only where sign(q) * side * w Im M
+    >= -slack at every point (a point of the other sign rises without
+    bound as |q| grows), and each point whose side * Re M lies beyond side
+    * c + slack must have it > 0, so that those slopes leave it inside."""
     if math.isinf(q):
-        beyond = side * m.real > side * c + slack
-        assert np.all(math.copysign(1.0, q) * side * w[beyond] * m.imag[beyond] > 0)
+        turn = math.copysign(1.0, q) * side * w * m.imag
+        assert turn.min() >= -slack
+        assert np.all(turn[side * m.real > side * c + slack] > 0)
     else:
         assert (side * (m.real - q * w * m.imag)).max() <= side * c + slack
 
@@ -592,6 +601,43 @@ class TestCertificate:
         assert [abs(w["q_plus"]), abs(w["q_minus"]), w["gap_plus"], w["gap_minus"]] == [
             math.inf, math.inf, 0.0, 0.0]
         assert iv.lower == exact_bounds(model).lower
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    @pytest.mark.parametrize("npoints", [2, 8])
+    def test_jw_axis_zero_enclosed(self, npoints):
+        # M's zero at w = 1 is a crossing at 0.0 that bounds no delta, and w
+        # Im M changes sign there.  Read as a rounding zero and dropped, it
+        # left the samples (2 or 8) and one point between each of the other
+        # crossings all of one sign, and both sides took the real axis: the
+        # left one at c = 0.25, past the origin the locus passes through
+        model = _hard_case("jw_axis_zero")
+        assert [x for w, x in model.M.real_crossings if w == pytest.approx(1.0)] == [0.0]
+        s = sample_locus(model.M, n=npoints)
+        # the triple pole makes the modal oracle unreliable here
+        _assert_encloses(_graphical_witnesses(s), *_window_sweep(model.M, "per_point"))
+        popov, exact = popov_bounds(s), exact_bounds(model)
+        assert popov.lower >= exact.lower * (1 + criteria.INSIDE_RTOL)
+        assert popov.upper <= exact.upper
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    @pytest.mark.parametrize("seed, tilt", [(3, -1e-6), (6, -1e-8)])
+    def test_small_excursion_enclosed(self, seed, tilt):
+        # a tilted touch: w Im M has the other sign only on an excursion about
+        # sqrt(|tilt|) wide at w = 1, so the optimal slope is large (about
+        # 6.6e2 and 4.8e3 here); the line still encloses a dense sweep, the
+        # excursion sampled finely, and Popov stays inside exact
+        model = _touch_model(seed, False, tilt)
+        s = sample_locus(model.M)
+        w, m = _window_sweep(model.M, "modal")
+        near = 1.0 + np.linspace(-1e-2, 1e-2, 20_001)
+        w, m = np.concatenate([w, near]), np.concatenate([m, dense_response(model.M, near)])
+        witnesses = _graphical_witnesses(s)
+        assert max(abs(witnesses["q_plus"]), abs(witnesses["q_minus"])) > 100.0
+        assert math.isfinite(witnesses["q_plus"]) and math.isfinite(witnesses["q_minus"])
+        _assert_encloses(witnesses, w, m)
+        popov, exact = popov_bounds(s), exact_bounds(model)
+        assert popov.lower >= exact.lower * (1 + criteria.INSIDE_RTOL)
+        assert popov.upper <= exact.upper * (1 + criteria.INSIDE_RTOL)
 
     @pytest.mark.parametrize("margin, npoints, scale", [
         (0.0, 2, 1.0), (0.0, 4, 1.0), (0.0, 6, 1.0), (0.01, 2, 1.0), (0.0, 2, 1e3), (0.01, 2, 1e3),
