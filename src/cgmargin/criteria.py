@@ -52,7 +52,7 @@ MARGINAL_RTOL = 1e-10
 
 # a certified maximum is level + CERT_RTOL * |level|: nothing on [0, wmax]
 # exceeds it.  Each round evaluates PER_INTERVAL points inside each interval
-# between consecutive level crossings; more than CERT_ROUNDS rounds warn
+# between 0, the level's crossings and wmax; more than CERT_ROUNDS rounds warn
 CERT_RTOL = 1e-8
 PER_INTERVAL = 8
 CERT_ROUNDS = 12
@@ -146,11 +146,11 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
 def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray, choose=None):
     """(bound, x, w, m): sup of f(M(jw), w) over [0, wmax] at the parameter x, certified.
 
-    ``family(x)`` returns (f, crossings, limit) at the parameter x:
-    ``crossings(level)`` returns the w >= 0 where f(M(jw), w) = level, and
-    ``limit`` is f as w -> inf.  ``values`` are samples of M(jw) at
-    ``omegas``, sorted, w = 0 and wmax = omegas[-1] among them.  Also
-    returns every point evaluated, the samples among them, with its M(jw).
+    ``family(x)`` returns (f, crossings) at the parameter x:
+    ``crossings(level)`` returns the w >= 0 where f(M(jw), w) = level.
+    ``values`` are samples of M(jw) at ``omegas``, sorted, w = 0 and wmax =
+    omegas[-1] among them.  Also returns every point evaluated, the samples
+    among them, with its M(jw).
 
     The points start as the samples plus, up to wmax and in one
     ``freq_values`` call, one parabola step at each near-top sampled peak of
@@ -162,27 +162,20 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
       m)`` of every point so far (a searched one);
     - sets the level to the largest f over every point so far, and tol =
       CERT_RTOL * |level|;
-    - finds the crossings of level + tol in [0, wmax].  As f <= level at
-      every point evaluated, w = 0 and wmax among them, f exceeds level +
-      tol only strictly between two consecutive crossings, and then on the
-      whole interval between them;
-    - evaluates PER_INTERVAL points inside each such interval.
-    Once none of them exceeds level + tol, or fewer than two crossings
-    remain, level + tol bounds f on [0, wmax] at x.  When ``choose`` is the
-    exact argmin over x of the largest f over the points, that level is
-    also the least such largest f, so it bounds the optimum over every x
-    from below: the bound is within tol of the optimum.
-
-    As f < level + tol at w = 0 and at wmax, the crossings pair up in [0,
-    wmax], so an odd count shows a lost one.  Near the limit the level's
-    solve has a small feedthrough d (``imaginary_zeros`` takes a rounding
-    zero as 0) and can lose crossings that the limit's own solve, d = 0,
-    keeps: at margin 0.01 the aircraft's circle loses the one at 1e-4
-    rad/s.  Such a round adds {0, wmax} and the limit's crossings.
+    - takes as breakpoints w = 0, every crossing of level + tol inside (0,
+      wmax), and wmax.  f <= level at w = 0 and at wmax, so f exceeds level
+      + tol only on whole intervals between consecutive breakpoints, however
+      many crossings there are;
+    - evaluates PER_INTERVAL points inside each interval.
+    Once no crossing lies inside (0, wmax), or none of the new points
+    exceeds level + tol, level + tol bounds f on [0, wmax] at x.  When
+    ``choose`` is the exact argmin over x of the largest f over the points,
+    that level is also the least such largest f, so it bounds the optimum
+    over every x from below: the bound is within tol of the optimum.
     """
     wmax = omegas[-1]
     x = choose(omegas, values) if choose else 0.0
-    f, crossings, limit = family(x)
+    f, crossings = family(x)
     trio = np.outer([wk for wk, _ in M.real_crossings], [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS])
     seeds = np.concatenate([_parabola_seeds(omegas, f(values, omegas)), np.abs(M.poles), trio.ravel()])
     seeds = seeds[(seeds > 0) & (seeds <= wmax)]
@@ -191,16 +184,14 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
     for _ in range(CERT_ROUNDS):
         if choose:
             x = choose(w, m)
-            f, crossings, limit = family(x)
+            f, crossings = family(x)
         level = float(f(m, w).max())
         tol = CERT_RTOL * abs(level)
         z = crossings(level + tol)
-        z = z[z <= wmax]
-        if z.size % 2:
-            z = np.sort(np.concatenate([[0.0, wmax], z, crossings(limit)]))
-            z = z[(z <= wmax) & (np.diff(z, prepend=-1.0) > 0)]
-        elif z.size < 2:
+        z = z[(z > 0) & (z < wmax)]
+        if not z.size:
             break
+        z = np.concatenate([[0.0], z, [wmax]])
         w_in = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
         m_in = freq_values(M, w_in)
         w, m = np.concatenate([w, w_in]), np.concatenate([m, m_in])
@@ -250,7 +241,7 @@ def _minimax_line(a: np.ndarray, b: np.ndarray, quad: bool = False):
 
 
 def _modulus_level(M: StateSpace, x_c: float):
-    """(f, crossings, limit) for f(M(jw), w) = |M(jw) - x_c|, with limit |x_c| as w -> inf.
+    """(f, crossings) for f(M(jw), w) = |M(jw) - x_c|.
 
     ``crossings(r)`` returns the w where f = r: the jw-axis zeros of
     r^2 - G(-s) G(s) for G = M - x_c, realized as G(-s) in series after G(s).
@@ -265,15 +256,15 @@ def _modulus_level(M: StateSpace, x_c: float):
     return (
         lambda m, w: np.abs(m - x_c),
         lambda r: imaginary_zeros(A, B, C, r * r - x_c * x_c),
-        abs(x_c),
     )
 
 
 def _popov_level(M: StateSpace, q: float, side: int):
-    """(f, crossings, limit) for f(M(jw), w) = side * Re[(1 + jqw) M(jw)], limit side * q cb.
+    """(f, crossings) for f(M(jw), w) = side * Re[(1 + jqw) M(jw)].
 
     ``crossings(L)`` returns the w where f = L: with F = (1 + qs) M =
-    (H, b, c + q cH, q cb), the jw-axis zeros of 2L - side * (F(s) + F(-s)).
+    (H, b, c + q cH, q cb), the jw-axis zeros of 2L - side * (F(s) + F(-s)),
+    whose feedthrough is 2 (L - side * q cb), f's limit as w -> inf.
     """
     H, b, c = M.A, M.B[:, 0], M.C[0]
     c_f = c + q * (c @ H)
@@ -285,7 +276,6 @@ def _popov_level(M: StateSpace, q: float, side: int):
     return (
         lambda m, w: side * (m.real - q * w * m.imag),
         lambda level: imaginary_zeros(A, B, C, 2.0 * (level - asymptote)),
-        asymptote,
     )
 
 
@@ -344,14 +334,16 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     With f(q, w) = Re[M(jw)] - q*w*Im[M(jw)], the right line intercept is
     c+ = inf_q sup_w f and the left line intercept is c- = sup_q inf_w f,
     over every real q; q = 0 gives the positive real criterion's vertical
-    lines.  At w = 0 and at M's real-axis crossings w Im M = 0, so side * c
-    is at least the largest side * Re M there.  If w Im M keeps one sign on
-    (0, wmax], that bound is the limit as side * q * w Im M -> +inf: both
-    sides read it, q = +-inf (the real axis) with gap 0.  The sign changes
-    only at crossings (M's jw-axis zeros among them, at x = 0.0; inside a run
-    that ``real_crossings`` merges, M is real to AXIS_RTOL and a change reads
-    as a touch, as in ``exact_bounds``), so the samples and one point inside
-    each gap between w = 0, the crossings in (0, wmax] and wmax settle it.
+    lines.  At M's real-axis crossings, w = 0 first, w Im M = 0, so side *
+    c is at least the largest side * Re M there, read off
+    ``real_crossings`` (0.0 for a rounding zero, as in ``exact_bounds``).
+    If w Im M keeps one sign on (0, wmax], that bound is the limit as side
+    * q * w Im M -> +inf: both sides read it, q = +-inf (the real axis)
+    with gap 0.  The sign changes only at crossings (M's jw-axis zeros
+    among them, at x = 0.0; inside a run that ``real_crossings`` merges, M
+    is real to AXIS_RTOL and a change reads as a touch, as in
+    ``exact_bounds``), so the samples and one point inside each gap between
+    the crossings up to wmax and wmax settle it.
 
     Otherwise each side is one ``_certified_max`` whose ``choose`` is
     Kelley's cutting plane (J. SIAM 8, 1960): over the set S of points
@@ -364,7 +356,7 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     2 * CERT_RTOL * |c| warns that the line is not shown optimal.
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
-    axis = [(0.0, values[0].real)] + [p for p in M.real_crossings if 0 < p[0] <= omegas[-1]]
+    axis = [p for p in M.real_crossings if p[0] <= omegas[-1]]
     ends = np.array([wk for wk, _ in axis] + [omegas[-1]])
     mid = 0.5 * (ends[:-1] + ends[1:])[np.diff(ends) > 0]
     turn = np.concatenate([omegas * values.imag, mid * freq_values(M, mid).imag])

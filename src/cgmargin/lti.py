@@ -43,7 +43,9 @@ MARKOV_RTOL = 1e-10
 # an invariant zero z lies on the jw-axis when |Re z| <= AXIS_RTOL * |z|; one
 # within AXIS_RTOL * |Z|_1 of the origin, the rounding of the zero-dynamics
 # matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
-# may be huge, and the certificates never ask for a zero at the origin)
+# may be huge, and the certificates never ask for a zero at the origin).  A
+# double zero splits about sqrt(eps) apart: within sqrt(AXIS_RTOL) * |z| of
+# the axis, imaginary_zeros keeps it, and real_crossings confirms it on M
 AXIS_RTOL = 1e-8
 # a value x of c (sI - A)^-1 b + d with |x| |A| <= D_RTOL |b| |c| is a rounding
 # zero at any scale.  Such a feedthrough d is solved as d = 0 (imaginary_zeros):
@@ -419,9 +421,13 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
 
 def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw:
-    the zeros of ``_zero_dynamics`` on the jw-axis (a multiple zero may fall
-    off it), with a d that is a rounding zero (D_RTOL) taken as 0.  A
-    function that is identically zero, or constant, has none."""
+    |Im z| for each zero z of ``_zero_dynamics`` within sqrt(AXIS_RTOL) * |z|
+    of the jw-axis, with a d that is a rounding zero (D_RTOL) taken as 0.  A
+    double zero splits about sqrt(eps) apart, off the axis, and both halves
+    are kept: a w may be a near miss, but for a certificate an extra w only
+    splits an interval, where a lost pair hid a rise (criteria's
+    ``_certified_max``).  A function that is identically zero, or constant,
+    has none."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -434,7 +440,7 @@ def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     if abs(d) * np.linalg.norm(A) <= D_RTOL * np.linalg.norm(b) * np.linalg.norm(c):
         d = 0.0
     lam = _zero_dynamics(A, b, c, d)[0]
-    on_axis = np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)
+    on_axis = np.abs(lam.real) <= math.sqrt(AXIS_RTOL) * np.abs(lam)
     # not np.unique: it imports numpy.ma (numpy 2.4), 14 ms and 1.4 MiB per CLI run
     w = np.sort(np.abs(lam.imag[on_axis]))
     return w[np.diff(w, prepend=-np.inf) > 0]

@@ -7,6 +7,7 @@ import pytest
 from cgmargin import AnalysisConfig, build_session, run_analysis
 from cgmargin.criteria import StabilityInterval, sample_locus
 from cgmargin.errors import UnstableFixedPartError
+from cgmargin.lti import ss_from_zpk
 from cgmargin.mdelta import model_of
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -196,6 +197,23 @@ def random_rank_one_model(rng, n=6, shift=0.5):
     A = rng.normal(size=(n, n))
     A = A - (np.max(np.linalg.eigvals(A).real) + shift) * np.eye(n)
     return model_of(A, np.outer(rng.normal(size=n), rng.normal(size=n)))
+
+
+def split_pair_model():
+    """The M-Delta model of a 7-state M with a jw-axis zero pair at w = 2.916
+    whose left Popov line binds near the lightly damped poles -0.083 +-
+    0.203j.  At 40 samples that line's crossing solve gives the pair w =
+    0.11574, 0.11580 about 1.13e-8 |z| off the jw-axis."""
+    pair, light = complex(-0.7912024050138563, 2.801645431759568), complex(
+        -0.08307530302008383, 0.20270571812475335)
+    M = ss_from_zpk(
+        [2.9162945060713086j, -2.9162945060713086j, -0.19578197972199568, 0.8137153567565685,
+         1.5427719180481096, 0.9990696542897193],
+        [-1.6580186605093752, -2.093931590497234, -2.0737570267529333, pair, pair.conjugate(),
+         light, light.conjugate()],
+        4.050735619265838,
+    )
+    return model_of(M.A, -M.B @ M.C)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from cgmargin.lti import (
 )
 from cgmargin.pipeline import AnalysisConfig, format_model_dump, run_analysis
 
-from conftest import dense_response, eval_zpk, random_rank_one_model
+from conftest import dense_response, eval_zpk, random_rank_one_model, split_pair_model
 
 G_ZEROS = (-0.0164, -0.635)
 G_POLES_PAIR = np.roots([1, 0.0136, 0.000327])
@@ -281,6 +281,21 @@ class TestImaginaryZeros:
     def test_constant(self):
         A = np.diag([-1.0, -2.0])
         assert imaginary_zeros(A, [0.0, 0.0], [1.0, 1.0], 3.0).size == 0
+
+    def test_split_pair_kept(self):
+        # the level function of a Popov line (q, c) on the left side:
+        # Re[(1 + jqw) M(jw)] = c at the zeros of 2 c - F(s) - F(-s), with F =
+        # (1 + qs) M.  At this line, read off 40 samples of split_pair_model,
+        # its zeros w = 0.11574 and 0.11580 bound a narrow excursion of the
+        # locus past the line, and come out of the solve 1.13e-8 |z| off the
+        # jw-axis.  Dropped, the excursion went uncertified
+        M = split_pair_model().M
+        q, c = -0.8419535369338056, -3.410528648353974
+        H, b, c_m = M.A, M.B[:, 0], M.C[0]
+        c_f = c_m + q * (c_m @ H)
+        A = np.block([[H, np.zeros_like(H)], [np.zeros_like(H), -H]])
+        w = imaginary_zeros(A, np.r_[b, b], np.r_[c_f, -c_f], 2.0 * (q * (c_m @ b) - c))
+        assert w[w < 1.0] == pytest.approx([0.115739, 0.115805], rel=1e-5)
 
 
 class TestTfOfSs:
