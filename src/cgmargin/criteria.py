@@ -168,7 +168,10 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
       many crossings there are;
     - evaluates PER_INTERVAL points inside each interval.
     Once no crossing lies inside (0, wmax), or none of the new points
-    exceeds level + tol, level + tol bounds f on [0, wmax] at x.  When
+    exceeds level + tol, level + tol bounds f on [0, wmax] at x.  At a peak
+    that the points already hold to tol, level + tol is a near miss, whose
+    zero pair ``imaginary_zeros`` returns as no crossing: such a round stops
+    at its solve, with no new point.  When
     ``choose`` is the exact argmin over x of the largest f over the points,
     that level is also the least such largest f, so it bounds the optimum
     over every x from below: the bound is within tol of the optimum.
@@ -205,26 +208,32 @@ def _certified_max(M: StateSpace, family, omegas: np.ndarray, values: np.ndarray
     return level + tol, x, w, m
 
 
-def _minimax_line(a: np.ndarray, b: np.ndarray, quad: bool = False):
-    """Exact argmin, a float, of phi(x) = max_k (a_k - x b_k) (+ x^2 if ``quad``).
+def _minimax_line(a: np.ndarray, b: np.ndarray, quad: bool = False, pair=None):
+    """(x, (L, R)): exact argmin x, a float, of phi(x) = max_k (a_k - x b_k)
+    (+ x^2 if ``quad``), and the pair of lines active there.
 
     phi is convex, with a minimum if ``quad`` or if some b_k > 0 > b_j.  Keep
     two lines: L, active where phi falls, and R, active where it rises,
-    starting from those active as x -> -inf and +inf.  The minimizer of
-    max(L, R) (their intersection, or with x^2 the vertex of one of them) is
-    phi's once the line active there is no higher than the pair; otherwise
-    that line replaces L or R by the sign of phi's slope along it.  Each
-    step is one pass over the lines.  A step count past the number of
-    lines, which rounding alone could cause, ends at the last point.
+    starting from ``pair`` or else from those active as x -> -inf and +inf.
+    The minimizer of max(L, R) (their intersection, or with x^2 the vertex
+    of one of them) is phi's once the line active there is no higher than
+    the pair; otherwise that line replaces L or R by the sign of phi's slope
+    along it.  Any start with b_L >= b_R (b_L > 0 > b_R without x^2) ends
+    there, and each step keeps that order, so the pair returned starts a
+    later search on the same lines with more appended.  Each step is one
+    pass over the lines.  A step count past the number of lines, which
+    rounding alone could cause, ends at the last point.
     """
     k2 = 2.0 if quad else 0.0
 
     def active(x):
         return int(np.argmax(a - x * b))
 
-    # the largest b and the largest -b, ties broken by the largest a
-    top, bottom = np.flatnonzero(b == b.max()), np.flatnonzero(b == b.min())
-    L, R = int(top[np.argmax(a[top])]), int(bottom[np.argmax(a[bottom])])
+    if pair is None:
+        # the largest b and the largest -b, ties broken by the largest a
+        top, bottom = np.flatnonzero(b == b.max()), np.flatnonzero(b == b.min())
+        pair = int(top[np.argmax(a[top])]), int(bottom[np.argmax(a[bottom])])
+    L, R = pair
     for _ in range(a.size):
         x = 0.5 * b[L] if b[L] == b[R] else (a[L] - a[R]) / (b[L] - b[R])
         if quad:
@@ -237,7 +246,7 @@ def _minimax_line(a: np.ndarray, b: np.ndarray, quad: bool = False):
             R = k
         else:
             L = k
-    return float(x)
+    return float(x), (L, R)
 
 
 def _modulus_level(M: StateSpace, x_c: float):
@@ -248,9 +257,10 @@ def _modulus_level(M: StateSpace, x_c: float):
     G(-s)'s states are scaled by k = |H| / (|b| |c|): the coupling k b c is the
     size of H, so rounding zeros (``lti.D_RTOL``) are the same at any scale of M.
     """
-    H, b, c = M.A, M.B[:, 0], M.C[0]
+    H, b, c, n = M.A, M.B[:, 0], M.C[0], M.nstates
     k = np.linalg.norm(H) / (np.linalg.norm(b) * np.linalg.norm(c))
-    A = np.block([[H, np.zeros_like(H)], [k * np.outer(b, c), -H]])
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n], A[n:, :n], A[n:, n:] = H, k * np.outer(b, c), -H
     B = np.concatenate([b, -k * x_c * b])
     C = np.concatenate([x_c * c, c / k])
     return (
@@ -266,10 +276,10 @@ def _popov_level(M: StateSpace, q: float, side: int):
     (H, b, c + q cH, q cb), the jw-axis zeros of 2L - side * (F(s) + F(-s)),
     whose feedthrough is 2 (L - side * q cb), f's limit as w -> inf.
     """
-    H, b, c = M.A, M.B[:, 0], M.C[0]
+    H, b, c, n = M.A, M.B[:, 0], M.C[0], M.nstates
     c_f = c + q * (c @ H)
-    zero = np.zeros_like(H)
-    A = np.block([[H, zero], [zero, -H]])
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, :n], A[n:, n:] = H, -H
     B = np.concatenate([b, b])
     C = -side * np.concatenate([c_f, -c_f])
     asymptote = side * q * (c @ b)   # f as w -> inf
@@ -303,7 +313,7 @@ def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> Stability
     if center != "optimal":
         raise ValueError(f"unknown center mode {center!r}")
     # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x)
-    x_c = _minimax_line(np.abs(summary.values) ** 2, 2.0 * summary.values.real, quad=True)
+    x_c = _minimax_line(np.abs(summary.values) ** 2, 2.0 * summary.values.real, quad=True)[0]
     M = summary.system
     r_c = _certified_max(M, lambda x: _modulus_level(M, x), summary.omegas, summary.values,
                          choose=lambda w, m: x_c)[0]
@@ -350,10 +360,13 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     evaluated so far, phi_S(q) = max_k side * f(q, w_k) is convex and lies
     below the sup over [0, wmax], and q is its exact argmin
     (``_minimax_line``), bounded as S starts on both sides of each crossing.
-    So every reported line (q, c) encloses the continuous locus on [0,
-    wmax], and ``gap_plus``/``gap_minus``, c less min phi_S over the final
-    S, bound how far c lies from the optimum over every slope; a gap above
-    2 * CERT_RTOL * |c| warns that the line is not shown optimal.
+    S only grows, by appending, so each round's solve starts from the
+    previous round's active pair.  So every reported line (q, c) encloses
+    the continuous locus on [0, wmax], and ``gap_plus``/``gap_minus``, c
+    less min phi_S over the final S, bound how far c lies from the optimum
+    over every slope: min phi_S is the last round's own when no point was
+    added after it.  A gap above 2 * CERT_RTOL * |c| warns that the line is
+    not shown optimal.
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
     axis = [p for p in M.real_crossings if p[0] <= omegas[-1]]
@@ -366,12 +379,17 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
         if not (sign * turn < 0).any():   # one sign: the limit line
             q, c, gap = math.copysign(math.inf, side * sign), float(max(side * x for _, x in axis)), 0.0
         else:
+            seen, q_low, pair = 0, 0.0, None   # the latest argmin, over `seen` points
+
             def choose(w, m, side=side):
-                return _minimax_line(side * m.real, side * w * m.imag)
+                nonlocal seen, q_low, pair
+                if w.size != seen:   # points are only appended
+                    seen, (q_low, pair) = w.size, _minimax_line(side * m.real, side * w * m.imag, pair=pair)
+                return q_low
             c, q, w, m = _certified_max(M, lambda q, side=side: _popov_level(M, q, side),
                                         omegas, values, choose)
-            a, b, q_low = side * m.real, side * w * m.imag, choose(w, m)
-            gap = c - float((a - q_low * b).max())
+            a, b = side * m.real, side * w * m.imag
+            gap = c - float((a - choose(w, m) * b).max())
             if gap > 2 * CERT_RTOL * abs(c):
                 warnings.warn(f"popov line (q={q!r}, c={side * c!r}) not shown optimal: "
                               f"gap {gap!r} after {CERT_ROUNDS} rounds", stacklevel=2)

@@ -45,7 +45,9 @@ MARKOV_RTOL = 1e-10
 # matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
 # may be huge, and the certificates never ask for a zero at the origin).  A
 # double zero splits about sqrt(eps) apart: within sqrt(AXIS_RTOL) * |z| of
-# the axis, imaginary_zeros keeps it, and real_crossings confirms it on M
+# the axis, imaginary_zeros keeps it, and real_crossings confirms it on M.
+# Two such zeros on either side of the axis whose w agree to AXIS_RTOL * |z|
+# are a near miss, which imaginary_zeros drops
 AXIS_RTOL = 1e-8
 # a value x of c (sI - A)^-1 b + d with |x| |A| <= D_RTOL |b| |c| is a rounding
 # zero at any scale.  Such a feedthrough d is solved as d = 0 (imaginary_zeros):
@@ -132,12 +134,16 @@ class StateSpace:
 
     @cached_property
     def controller_hessenberg(self):
-        """(H, beta, h) with the first input-output response = h (sI - H)^-1 beta e1 + D.
+        """(H, beta, h, row_sums, sub) with the first input-output response =
+        h (sI - H)^-1 beta e1 + D.
 
         H is upper Hessenberg with nonzero subdiagonal; see
-        ``_controller_hessenberg``.  Computed on first use and kept.
+        ``_controller_hessenberg``.  row_sums and sub bound the growth of
+        ``freq_values``' recurrence: the sums of |h_kj| over j >= k for rows
+        2..n, and |h_(k,k-1)|.  Computed on first use and kept.
         """
-        return _controller_hessenberg(self.A, self.B[:, 0], self.C[0])
+        H, beta, h = _controller_hessenberg(self.A, self.B[:, 0], self.C[0])
+        return H, beta, h, np.abs(np.triu(H)).sum(axis=1)[1:], np.abs(np.diagonal(H, -1))
 
     @cached_property
     def real_crossings(self) -> tuple:
@@ -323,15 +329,13 @@ def freq_values(sys: StateSpace, omegas) -> np.ndarray:
     imaginary-axis pole.
     """
     om = np.asarray(omegas, dtype=float)
-    H, beta, h = sys.controller_hessenberg
+    H, beta, h, row_sums, sub = sys.controller_hessenberg
     n = H.shape[0]
     values = np.full(om.shape, complex(sys.D[0, 0]))
     if n == 0:
         return values
-    # step k multiplies max |x| by at most (|s| + sum_(j>=k) |h_kj|) / |h_(k,k-1)|;
-    # a chunk whose product of these stays below RESCALE_AT needs no check
-    row_sums = np.abs(np.triu(H)).sum(axis=1)[1:]
-    sub = np.abs(np.diagonal(H, -1))
+    # step k multiplies max |x| by at most (|s| + row_sums_k) / sub_k; a chunk
+    # whose product of these stays below RESCALE_AT needs no check
     size = max(1, STACK_BYTES // (16 * n))
     for lo in range(0, om.size, size):
         s = 1j * om[lo : lo + size]
@@ -421,13 +425,17 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
 
 def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     """Sorted distinct w >= 0 at which c (sI - A)^-1 b + d vanishes at s = jw:
-    |Im z| for each zero z of ``_zero_dynamics`` within sqrt(AXIS_RTOL) * |z|
-    of the jw-axis, with a d that is a rounding zero (D_RTOL) taken as 0.  A
-    double zero splits about sqrt(eps) apart, off the axis, and both halves
-    are kept: a w may be a near miss, but for a certificate an extra w only
-    splits an interval, where a lost pair hid a rise (criteria's
-    ``_certified_max``).  A function that is identically zero, or constant,
-    has none."""
+    Im z for each zero z, Im z >= 0, of ``_zero_dynamics`` within
+    sqrt(AXIS_RTOL) * |z| of the jw-axis, with a d that is a rounding zero
+    (D_RTOL) taken as 0.  A double zero splits about sqrt(eps) apart, off the
+    axis, and both halves are kept: for a certificate an extra w only splits
+    an interval, where a lost pair hid a rise (criteria's ``_certified_max``;
+    two crossings 5.7e-4 apart in w came out 1.13e-8 |z| off the axis).  Two
+    of them on opposite sides of the axis, next in w and with w agreeing to
+    AXIS_RTOL * |z|, are the pair z, -conj(z) of a real function of w that
+    nears the level or touches it without a change of sign (Boyd,
+    Balakrishnan and Kabamba, MCSS 2, 1989): no crossing, and neither is
+    returned.  A function that is identically zero, or constant, has none."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -440,7 +448,13 @@ def imaginary_zeros(A, b, c, d: float = 0.0) -> np.ndarray:
     if abs(d) * np.linalg.norm(A) <= D_RTOL * np.linalg.norm(b) * np.linalg.norm(c):
         d = 0.0
     lam = _zero_dynamics(A, b, c, d)[0]
-    on_axis = np.abs(lam.real) <= math.sqrt(AXIS_RTOL) * np.abs(lam)
+    z = lam[(lam.imag >= 0) & (np.abs(lam.real) <= math.sqrt(AXIS_RTOL) * np.abs(lam))]
+    z = z[np.argsort(z.imag)]
+    keep = np.ones(z.size, dtype=bool)
+    partners = (z.real[:-1] * z.real[1:] < 0) & (np.diff(z.imag) <= AXIS_RTOL * np.abs(z[1:]))
+    for i in np.flatnonzero(partners):
+        if keep[i]:
+            keep[i : i + 2] = False
     # not np.unique: it imports numpy.ma (numpy 2.4), 14 ms and 1.4 MiB per CLI run
-    w = np.sort(np.abs(lam.imag[on_axis]))
+    w = z.imag[keep]
     return w[np.diff(w, prepend=-np.inf) > 0]

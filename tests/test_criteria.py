@@ -202,9 +202,30 @@ class TestMinimaxLine:
         for _ in range(200):
             a, b = rng.normal(size=30), 3.0 * rng.normal(size=30)
             assert b.min() < 0 < b.max()
-            x = _minimax_line(a, b, quad=quad)
+            x, _ = _minimax_line(a, b, quad=quad)
             x_bf, phi_bf = self.brute_force(a, b, quad)
             assert type(x) is float
+            assert quad * x**2 + (a - x * b).max() == pytest.approx(phi_bf, abs=1e-12)
+            assert x == pytest.approx(x_bf, abs=1e-9)
+
+    @pytest.mark.parametrize("quad", [False, True])
+    def test_warm_start(self, quad):
+        # from any pair (L, R) with b_L > 0 > b_R, and from the pair of the
+        # previous result once lines are appended, the search ends at the
+        # same minimizer as from the lines active at -+inf
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a, b = rng.normal(size=40), 3.0 * rng.normal(size=40)
+            x_bf, phi_bf = self.brute_force(a, b, quad)
+            for L in np.flatnonzero(b > 0)[:4]:
+                for R in np.flatnonzero(b < 0)[:4]:
+                    x, _ = _minimax_line(a, b, quad=quad, pair=(int(L), int(R)))
+                    assert quad * x**2 + (a - x * b).max() == pytest.approx(phi_bf, abs=1e-12)
+                    assert x == pytest.approx(x_bf, abs=1e-9)
+            head = 20 if (b[:20] > 0).any() and (b[:20] < 0).any() else 40
+            x, pair = _minimax_line(a[:head], b[:head], quad=quad)
+            assert b[pair[0]] >= b[pair[1]] if quad else b[pair[0]] > 0 > b[pair[1]]
+            x, _ = _minimax_line(a, b, quad=quad, pair=pair)
             assert quad * x**2 + (a - x * b).max() == pytest.approx(phi_bf, abs=1e-12)
             assert x == pytest.approx(x_bf, abs=1e-9)
 
@@ -443,8 +464,9 @@ class TestCertificate:
         # one freq_values call: its parabola steps, |lambda| for each pole of
         # M and each real-axis crossing w* of M with w*(1 +- SEED_EPS), up to
         # wmax.  popov_bounds adds one call of its own, for its sign test of
-        # w Im M: 5 on the aircraft, that one and two per side, as each
-        # side's near-miss crossing pair at its binding peak gets one round
+        # w Im M: 3 on the aircraft, that one and one per side, as each
+        # side's first crossing solve finds no crossing, only the near-miss
+        # pair at its binding peak
         s = session.summary
         M, wmax = s.system, s.omegas[-1]
         w = np.array([wk for wk, _ in M.real_crossings if wk > 0])
@@ -479,7 +501,28 @@ class TestCertificate:
         assert len(starts) == 4
         calls.clear()
         popov_bounds(s)
-        assert len(starts) == 6 and len(calls) == 5
+        assert len(starts) == 6 and len(calls) == 3
+
+    def test_aircraft_analysis_work(self, monkeypatch):
+        # the default run: one freq_values call per certificate for its
+        # start points and one for popov_bounds' sign test, one crossing
+        # solve per certificate, and a minimax solve for the circle's center
+        # and for each Popov side's samples and start points; the gap reuses
+        # the last, as no point followed it
+        counts = {}
+
+        def counted(name):
+            fn = getattr(criteria, name)
+
+            def call(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(criteria, name, call)
+
+        for name in ("freq_values", "imaginary_zeros", "_minimax_line"):
+            counted(name)
+        assert run_analysis(AnalysisConfig()).all_sound
+        assert counts == {"freq_values": 7, "imaginary_zeros": 6, "_minimax_line": 5}
 
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
         # the crossing set is cached on M: whichever of exact_bounds and

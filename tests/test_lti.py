@@ -297,6 +297,24 @@ class TestImaginaryZeros:
         w = imaginary_zeros(A, np.r_[b, b], np.r_[c_f, -c_f], 2.0 * (q * (c_m @ b) - c))
         assert w[w < 1.0] == pytest.approx([0.115739, 0.115805], rel=1e-5)
 
+    def test_partner_pair_is_no_crossing(self, session, result):
+        # the level function of the small-gain circle: |M(jw)| = r at the
+        # zeros of r^2 - M(-s) M(s).  At the certified r_sg, CERT_RTOL above
+        # the peak, its two zeros near w = 0.91426 lie on either side of the
+        # jw-axis at one w: a near miss, no crossing.  Just below the peak
+        # the level is crossed twice, about that w
+        M = session.model.M
+        H, b, c = M.A, M.B[:, 0], M.C[0]
+        k = np.linalg.norm(H) / (np.linalg.norm(b) * np.linalg.norm(c))
+        A = np.block([[H, np.zeros_like(H)], [k * np.outer(b, c), -H]])
+        B, C = np.r_[b, np.zeros_like(b)], np.r_[np.zeros_like(c), c / k]
+        r_sg = result.intervals["small_gain"].witnesses["r_sg"]
+        assert imaginary_zeros(A, B, C, r_sg * r_sg).size == 0
+        r = r_sg * (1.0 - 1e-6)
+        w = imaginary_zeros(A, B, C, r * r)
+        assert w.size == 2 and w[0] < 0.9142573 < w[1]
+        assert w == pytest.approx([0.9142573, 0.9142573], rel=2e-3)
+
 
 class TestTfOfSs:
     """zpk_of_ss: the (zeros, poles, gain) of a realization."""
