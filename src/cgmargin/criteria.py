@@ -18,11 +18,11 @@ far, a constant where x is pinned and for Popov the exact argmin of their
 lower model (``_minimax_line``; Kelley's cutting planes, J. SIAM 8, 1960),
 raises the level to the largest of those points, and makes one crossing
 solve: the jw-axis zeros of one para-Hermitian function either certify the
-level or bound the intervals where the next points go (Bruinsma and
-Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
-Kabamba, MCSS 2, 1989).  Starting from the samples and from M's own
-frequencies, its poles' |lambda| and its real-axis crossings, the
-certificate holds over [0, wmax] whatever the window.
+level or bound the intervals where the next points go, evenly in arctan(ln
+w/w0) for w0 the geometric mean of M's pole moduli (``_interior``; Bruinsma
+and Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
+Kabamba, MCSS 2, 1989).  From the samples and M's poles' |lambda| and
+real-axis crossings, it holds over [0, wmax] whatever the window.
 """
 
 from __future__ import annotations
@@ -144,6 +144,17 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(u), omegas[i - 1][ok], omegas[i + 1][ok])
 
 
+def _interior(M: StateSpace, ends: np.ndarray, fractions) -> np.ndarray:
+    """Points at ``fractions`` of each interval between sorted ``ends``, evenly in
+    u = arctan(ln(w/w0)), w0 the geometric mean of M's pole moduli: [0, inf] maps
+    onto [-pi/2, pi/2], dense about w0.  Each is clipped strictly inside its interval."""
+    lw0 = np.log(np.abs(M.poles)).mean()
+    with np.errstate(divide="ignore", over="ignore"):   # ln 0 = -inf maps to -pi/2
+        u = np.arctan(np.log(ends) - lw0)
+        w = np.exp(lw0 + np.tan(u[:-1, None] + np.diff(u)[:, None] * fractions))
+    return np.clip(w, np.nextafter(ends[:-1], np.inf)[:, None], np.nextafter(ends[1:], 0.0)[:, None]).ravel()
+
+
 def _certified_max(summary: FrequencyLocus, family, choose):
     """(bound, x, w, m): sup of f(M(jw), w) over [0, wmax] at the parameter x, certified.
 
@@ -167,7 +178,7 @@ def _certified_max(summary: FrequencyLocus, family, choose):
       wmax), and wmax.  f <= level at w = 0 and at wmax, so f exceeds level
       + tol only on whole intervals between consecutive breakpoints, however
       many crossings there are;
-    - evaluates PER_INTERVAL points inside each interval.
+    - evaluates PER_INTERVAL points inside each interval (``_interior``).
     Once no crossing lies inside (0, wmax), or none of the new points
     exceeds level + tol, level + tol bounds f on [0, wmax] at x.  At a peak
     that the points already hold to tol, level + tol is a near miss, whose
@@ -196,8 +207,7 @@ def _certified_max(summary: FrequencyLocus, family, choose):
         z = z[(z > 0) & (z < wmax)]
         if not z.size:
             break
-        z = np.concatenate([[0.0], z, [wmax]])
-        w_in = (z[:-1, None] + np.diff(z)[:, None] * _FRACTIONS).ravel()
+        w_in = _interior(M, np.concatenate([[0.0], z, [wmax]]), _FRACTIONS)
         m_in = freq_values(M, w_in)
         w, m = np.concatenate([w, w_in]), np.concatenate([m, m_in])
         if f(m_in, w_in).max() <= level + tol:
@@ -350,10 +360,10 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     with gap 0.  The sign changes only at crossings (M's jw-axis zeros
     among them, at x = 0.0; inside a run that ``real_crossings`` merges, M
     is real to AXIS_RTOL and a change reads as a touch, as in
-    ``exact_bounds``), so the samples and one point inside each gap between
-    the crossings up to wmax and wmax settle it.  An Im M below the rounding
-    unit of |M| has no sign: at w = 1e-100, M = (3s + 1)/(s + 1)^3 reads
-    +1e-115 for a true -8e-300.
+    ``exact_bounds``), so the samples and the point halfway across each gap
+    between the crossings up to wmax and wmax (``_interior``) settle it.  An
+    Im M below the rounding unit of |M| has no sign: at w = 1e-100, M = (3s
+    + 1)/(s + 1)^3 reads +1e-115 for a true -8e-300.
 
     Otherwise each side is one ``_popov_line`` whose ``choose`` is Kelley's
     cutting plane (J. SIAM 8, 1960): over the set S of points evaluated so
@@ -369,7 +379,7 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     M, omegas, values = summary.system, summary.omegas, summary.values
     axis = [p for p in M.real_crossings if p[0] <= omegas[-1]]
     ends = np.array([wk for wk, _ in axis] + [omegas[-1]])
-    mid = 0.5 * (ends[:-1] + ends[1:])[np.diff(ends) > 0]
+    mid = _interior(M, ends, 0.5)[np.diff(ends) > 0]
     m = np.concatenate([values, freq_values(M, mid)])
     turn = np.concatenate([omegas, mid]) * m.imag
     turn[np.abs(m.imag) <= np.finfo(float).eps * np.abs(m)] = 0.0   # rounding: no sign

@@ -63,6 +63,10 @@ SWEEP_OMEGAS = np.concatenate([[0.0], np.logspace(-6, 6, 200_001), np.logspace(7
 WINDOWS = [{"wmin": 1e-300, "wmax": 1e300, "n": 10}, {"wmin": 1e-300, "wmax": 1e300, "n": 40},
            {"wmax": 0.01}, {"n": 8}, {"wmin": 1.0}, {}]
 
+# SWEEP_OMEGAS thinned to 20,001 points over [1e-6, 1e6], for the slower
+# per-point oracle
+THIN_OMEGAS = np.concatenate([[0.0], np.logspace(-6, 6, 20_001), np.logspace(7, 300, 294)])
+
 # 1/(s^3 + 2s^2 + s + 1): relative degree 3, M(0) = 1 and M(j1) = -1 exactly
 REL3 = StateSpace(
     [[-2.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
@@ -163,6 +167,11 @@ HARD_CASES = ("relative_degree_3", "cb_zero", "light_damping", "jordan_block",
 # it near w = 0.11577: the crossing pair around that excursion came out of
 # the solve just off the jw-axis and was dropped
 HARD_CASE_NPOINTS = {"split_pair": (40, 100, 400, 4000)}
+# the cases whose defective H puts the modal oracle off by up to 1e30: each
+# is swept with a per-point LU solve
+PER_POINT_CASES = ("jordan_block", "flat_at_origin", "jw_axis_zero")
+# the hard cases that test_every_window_sound sweeps over every window
+CENSUS_CASES = tuple(c for c in HARD_CASES if c != "random_n128") + ("jw_axis_zero",)
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +296,12 @@ def _window_sweep(M, oracle):
         w = np.concatenate([[0.0], DENSE_OMEGAS])
         return w, np.concatenate([dense_response(M, c) for c in np.array_split(w, 100)])
     w = np.concatenate([[0.0], np.logspace(-4, 4, 20_001)])
-    return w, np.array([M.evaluate(1j * wk)[0, 0] for wk in w])
+    return w, _per_point(M, w)
+
+
+def _per_point(M, w):
+    """M(jw) at each w by its own LU solve."""
+    return np.array([M.evaluate(1j * wk)[0, 0] for wk in w])
 
 
 def _graphical_witnesses(locus):
@@ -302,11 +316,15 @@ def _assert_popov_line(q, c, side, w, m, slack):
     real axis, the limit of finite slopes only where sign(q) * side * w Im M
     >= -slack at every point (a point of the other sign rises without
     bound as |q| grows), and each point whose side * Re M lies beyond side
-    * c + slack must have it > 0, so that those slopes leave it inside."""
+    * c + slack must have it > 0, so that those slopes leave it inside.  As
+    in popov_bounds, a point at w > 0 whose |Im M| is at most the rounding
+    unit of |M| has no sign (far above the locus Im M underflows to 0);
+    w = 0 stays checked."""
     if math.isinf(q):
         turn = math.copysign(1.0, q) * side * w * m.imag
+        signed = (w == 0) | (np.abs(m.imag) > np.finfo(float).eps * np.abs(m))
         assert turn.min() >= -slack
-        assert np.all(turn[side * m.real > side * c + slack] > 0)
+        assert np.all(turn[(side * m.real > side * c + slack) & signed] > 0)
     else:
         assert (side * (m.real - q * w * m.imag)).max() <= side * c + slack
 
@@ -364,6 +382,33 @@ def _recorded_solves(monkeypatch):
 
     monkeypatch.setattr(criteria, "imaginary_zeros", counted)
     return calls
+
+
+class TestInterior:
+    def test_points_strictly_inside(self):
+        # 1e20 and 1e21 lie 16 and 17 decades above w0 = 1, where
+        # arctan(w/w0) rounds both to pi/2 and the points map back outside
+        # their interval; arctan(ln(w/w0)) keeps them apart, and ln 0 is silent
+        M = _hard_case("flat_at_origin").M
+        w0 = math.exp(np.log(np.abs(M.poles)).mean())
+        ends = np.array(sorted([0.0, 1e-300, 0.115739, 0.115805, w0, 1e20, 1e21, 1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fractions in (criteria._FRACTIONS, 0.5):
+                w = criteria._interior(M, ends, fractions).reshape(ends.size - 1, -1)
+                assert np.isfinite(w).all() and np.all(np.diff(w.ravel()) >= 0)
+                assert np.all((ends[:-1, None] < w) & (w < ends[1:, None]))
+                # [0, 1e-300] spans only 1.4e-3 in u, so its points underflow
+                # to the least float above 0; above it they are distinct
+                assert np.all(np.diff(w[1:], axis=1) > 0)
+
+    def test_points_where_the_locus_lives(self):
+        # flat_at_origin's Re M dips to -0.2071 at w = 2.414, inside [1.468,
+        # 1e300]: a linear fraction of that interval is 1e299, a logarithmic
+        # one 1e33, and neither sees the dip
+        M = _hard_case("flat_at_origin").M
+        w = criteria._interior(M, np.array([1.468, 1e300]), criteria._FRACTIONS)
+        assert np.any((w >= 2.0) & (w <= 3.0))
 
 
 class TestCertificate:
@@ -458,13 +503,14 @@ class TestCertificate:
             assert np.all(np.diff(omegas) >= 0) and omegas[-1] == wmax
             assert w.size > omegas.size and w.max() <= wmax
 
-    @pytest.mark.parametrize("window, most", [({}, 2), ({"n": 8}, 5), ({"wmin": 1.0}, 4)])
+    @pytest.mark.parametrize("window, most", [({}, 2), ({"n": 8}, 6), ({"wmin": 1.0}, 6)])
     def test_popov_certificates_per_call(self, session, monkeypatch, window, most):
         # seeded with the real-axis crossings, Popov upper's smooth optimum
         # at w = 0.848 settles in one crossing solve per side at the default
-        # window.  One loop per side takes one solve per round, 2, 5 and 4
-        # here in all; a full certificate at each trial slope took 3, 12 and
-        # 8 solves, and tangent cuts alone 9, 17 and 17 certificates
+        # window.  One loop per side takes one solve per round, 2, 6 and 6
+        # here in all (5 and 4 with points spaced linearly in w); a full
+        # certificate at each trial slope took 3, 12 and 8 solves, and
+        # tangent cuts alone 9, 17 and 17 certificates
         s = sample_locus(session.model.M, **window)
         calls = _recorded_solves(monkeypatch)
         w = popov_bounds(s).witnesses
@@ -608,8 +654,7 @@ class TestCertificate:
     @pytest.mark.parametrize("case", HARD_CASES)
     def test_hard_case_enclosed(self, case):
         model = _hard_case(case)
-        # the modal oracle is off by up to 1e30 on the defective H of these two
-        oracle = "per_point" if case in ("jordan_block", "flat_at_origin") else "modal"
+        oracle = "per_point" if case in PER_POINT_CASES else "modal"
         w, m = _window_sweep(model.M, oracle)
         exact = exact_bounds(model)
         for npoints in HARD_CASE_NPOINTS.get(case, (4000,)):
@@ -636,20 +681,42 @@ class TestCertificate:
         _assert_encloses(witnesses, SWEEP_OMEGAS, m)
 
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
-    @pytest.mark.parametrize("case", ["aircraft", 1, 3, 5])
+    @pytest.mark.parametrize("case", ["aircraft", 1, 3, 5, *CENSUS_CASES])
     def test_every_window_sound(self, session, case):
-        # every witness holds on [0, wmax] whatever the window: the aircraft
-        # and three n = 32 random models (seed 1) at each of WINDOWS
+        # every witness holds on [0, wmax] whatever the window: the aircraft,
+        # three n = 32 random models (seed 1) and the hard cases at each of
+        # WINDOWS.  With its interior points spaced linearly in w, positive
+        # real on flat_at_origin at [1e-300, 1e300] put none of them in
+        # [1.468, 1e300] near the excursion to Re M = -0.2071 at w = 2.414,
+        # and read x_min = -6.5e-67 (10 points) and -1.2e-15 (40)
         if case == "aircraft":
             M = session.model.M
-        else:
+        elif isinstance(case, int):
             rng = np.random.default_rng(1)
             M = [random_rank_one_model(rng, n=32) for _ in range(case + 1)][-1].M
-        m = dense_response(M, SWEEP_OMEGAS)
+        else:
+            M = _hard_case(case).M
+        if case in PER_POINT_CASES:
+            w, m = THIN_OMEGAS, _per_point(M, THIN_OMEGAS)
+        else:
+            w, m = SWEEP_OMEGAS, dense_response(M, SWEEP_OMEGAS)
         for window in WINDOWS:
             s = sample_locus(M, **window)
-            keep = SWEEP_OMEGAS <= s.omegas[-1]
-            _assert_encloses(_graphical_witnesses(s), SWEEP_OMEGAS[keep], m[keep])
+            keep = w <= s.omegas[-1]
+            _assert_encloses(_graphical_witnesses(s), w[keep], m[keep])
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    @pytest.mark.parametrize("npoints", [2, 3])
+    def test_sign_test_extreme_window(self, npoints):
+        # on relative_degree_3, w Im M changes sign at its crossing w = 1.
+        # At [1e-300, 1e300] no sample sees that, and the sign test's point
+        # in the gap [1, 1e300] once sat at the arithmetic midpoint 5e299,
+        # where M reads 0: both sides took the real axis, q = -+inf, which
+        # the locus crosses.  The point now lies near w = e, where the
+        # locus lives
+        M = _hard_case("relative_degree_3").M
+        s = sample_locus(M, wmin=1e-300, wmax=1e300, n=npoints)
+        _assert_encloses(_graphical_witnesses(s), THIN_OMEGAS, _per_point(M, THIN_OMEGAS))
 
     @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
     def test_flat_origin_popov_reaches_exact(self):
