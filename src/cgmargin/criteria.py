@@ -21,8 +21,8 @@ solve: the jw-axis zeros of one para-Hermitian function either certify the
 level or bound the intervals where the next points go, evenly in arctan(ln
 w/w0) for w0 the geometric mean of M's pole moduli (``_interior``; Bruinsma
 and Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
-Kabamba, MCSS 2, 1989).  From the samples and M's poles' |lambda| and
-real-axis crossings, it holds over [0, wmax] whatever the window.
+Kabamba, MCSS 2, 1989).  From the samples and M's real-axis crossings, these
+rounds find the locus, at [1e-300, 1e300] too: it holds over [0, wmax].
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def _certified_max(summary: FrequencyLocus, family, choose):
     The points start as the samples plus, up to wmax and in one
     ``freq_values`` call, one parabola step at each near-top sampled peak of
     f (``_parabola_seeds``, at the x the samples give: where they miss the
-    locus, f may overflow), |lambda| for each pole lambda of M and each
-    real-axis crossing w* > 0 of M and w*(1 +- SEED_EPS): points where the
-    locus lives, whatever the window.  Each round then
+    locus, f may overflow) and each real-axis crossing w* > 0 of M and w*(1
+    +- SEED_EPS).  Where they all miss it, as at [1e-300, 1e300], the rounds
+    find it, densest about M's pole moduli (``_interior``).  Each round then
     - sets x = ``choose(w, m)`` over every point so far, a constant where x
       is pinned;
     - sets the level to the largest f over every point so far, and tol =
@@ -194,7 +194,7 @@ def _certified_max(summary: FrequencyLocus, family, choose):
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite f is no peak
         steps = _parabola_seeds(omegas, f(values, omegas))
     trio = np.outer([wk for wk, _ in M.real_crossings], [1.0 - SEED_EPS, 1.0, 1.0 + SEED_EPS])
-    seeds = np.concatenate([steps, np.abs(M.poles), trio.ravel()])
+    seeds = np.concatenate([steps, trio.ravel()])
     seeds = seeds[(seeds > 0) & (seeds <= wmax)]
     w = np.concatenate([omegas, seeds])
     m = np.concatenate([values, freq_values(M, seeds)])
@@ -212,7 +212,9 @@ def _certified_max(summary: FrequencyLocus, family, choose):
         w, m = np.concatenate([w, w_in]), np.concatenate([m, m_in])
         if f(m_in, w_in).max() <= level + tol:
             break
-    else:
+    else:   # the last round's points exceed its level: take it over them too
+        level = float(f(m, w).max())
+        tol = CERT_RTOL * abs(level)
         warnings.warn(
             f"maximum {level + tol!r} not certified after {CERT_ROUNDS} rounds",
             stacklevel=4,

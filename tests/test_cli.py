@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -52,6 +53,12 @@ class TestModelCommand:
         session = pipeline.build_session(pipeline.AnalysisConfig(stability_margin=margin))
         dump = pipeline.format_model_dump(session)
         assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+    def test_zpk_without_zeros(self):
+        # the dump prints an empty root list as (none), and a complex root
+        # with its imaginary part
+        text = pipeline.format_zpk([], [-1.0, complex(-2, 3), complex(-2, -3)], 2.0)
+        assert text == "  gain : 2\n  zeros: (none)\n  poles: -1, -2+3j, -2-3j"
 
     def test_missing_model_file(self, runner, tmp_path):
         result = runner.invoke(main, ["model", "--model", str(tmp_path / "x.cfg")])
@@ -148,6 +155,25 @@ class TestAnalyzeCommand:
         for iv in intervals.values():
             assert iv.lower < 0 < iv.upper
         assert "verify exact: ok" in result.output
+
+    def test_failed_audit_exits_1(self, runner, tmp_path, monkeypatch):
+        # an audit that fails is printed as FAILED and makes analyze exit 1,
+        # after the report is written; the others still print ok
+        audit = criteria.verify_interval
+
+        def failing(model, interval, n_samples):
+            report = audit(model, interval, n_samples)
+            if interval.criterion == "circle":
+                report = dataclasses.replace(report, passed=False, failures=((0.1, 1e-3),))
+            return report
+
+        monkeypatch.setattr(criteria, "verify_interval", failing)
+        result = runner.invoke(main, ["analyze", "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 1
+        verdicts = [ln for ln in result.output.splitlines() if ln.startswith("verify ")]
+        assert verdicts == [f"verify {name}: {'FAILED' if name == 'circle' else 'ok'} (50 interior samples)"
+                            for name in CRITERIA]
+        assert set(parse_report_csv((tmp_path / "report.csv").read_text())) == set(CRITERIA)
 
     def test_report_witnesses_parse(self, runner, tmp_path, result):
         # every numeric witness is written as a Python float's repr, never

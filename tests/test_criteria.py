@@ -520,18 +520,19 @@ class TestCertificate:
 
     def test_popov_evaluates_seeds_once(self, session, monkeypatch):
         # every certificate starts from the same kind of points, all taken in
-        # one freq_values call: its parabola steps, |lambda| for each pole of
-        # M and each real-axis crossing w* of M with w*(1 +- SEED_EPS), up to
-        # wmax.  popov_bounds adds one call of its own, for its sign test of
-        # w Im M: 3 on the aircraft, that one and one per side, as each
-        # side's first crossing solve finds no crossing, only the near-miss
-        # pair at its binding peak
+        # one freq_values call: its parabola steps and each real-axis
+        # crossing w* of M with w*(1 +- SEED_EPS), up to wmax.  No start
+        # point is read off M's poles: where the samples miss the locus,
+        # _interior's rounds find it, densest about M's pole moduli.
+        # popov_bounds adds one call of its own, for its sign test of w Im M:
+        # 3 on the aircraft, that one and one per side, as each side's first
+        # crossing solve finds no crossing, only the near-miss pair at its
+        # binding peak
         s = session.summary
         M, wmax = s.system, s.omegas[-1]
-        w = np.array([wk for wk, _ in M.real_crossings if wk > 0])
-        w = np.outer(w, [1.0 - criteria.SEED_EPS, 1.0, 1.0 + criteria.SEED_EPS]).ravel()
-        modal = np.concatenate([np.abs(M.poles), w])
-        modal = modal[modal <= wmax]
+        trio = np.array([wk for wk, _ in M.real_crossings if wk > 0])
+        trio = np.outer(trio, [1.0 - criteria.SEED_EPS, 1.0, 1.0 + criteria.SEED_EPS]).ravel()
+        trio = trio[trio <= wmax]
         calls, starts = [], []
         parabola_seeds, certified_max = criteria._parabola_seeds, criteria._certified_max
 
@@ -541,7 +542,7 @@ class TestCertificate:
 
         def recorded_steps(omegas, fv):
             steps = parabola_seeds(omegas, fv)
-            starts.append(np.concatenate([steps, modal]))
+            starts.append(np.concatenate([steps, trio]))
             return steps
 
         def recorded_max(*args, **kwargs):
@@ -554,7 +555,7 @@ class TestCertificate:
         monkeypatch.setattr(criteria, "freq_values", recorded_values)
         monkeypatch.setattr(criteria, "_parabola_seeds", recorded_steps)
         monkeypatch.setattr(criteria, "_certified_max", recorded_max)
-        assert modal.size
+        assert trio.size
         for bounds in (small_gain_bounds, circle_bounds, positive_real_bounds):
             bounds(s)
         assert len(starts) == 4
@@ -582,6 +583,21 @@ class TestCertificate:
             counted(name)
         assert run_analysis(AnalysisConfig()).all_sound
         assert counts == {"freq_values": 7, "imaginary_zeros": 6, "_minimax_line": 5}
+
+    def test_exhausted_rounds_bound_every_point(self, session, monkeypatch):
+        # a certificate that is still open after CERT_ROUNDS rounds warns and
+        # takes its bound over every point at the last x, the last round's
+        # included: with one round at 8 samples, small gain once returned
+        # 1.9558087 while its own points reached 1.9651335, and positive real
+        # 0.1798932 against 0.1813008 and 1.9519674 against 1.9571962
+        monkeypatch.setattr(criteria, "CERT_ROUNDS", 1)
+        s = sample_locus(session.model.M, n=8)
+        families = [criteria._modulus_level] + [
+            lambda M, q, side=side: criteria._popov_level(M, q, side) for side in (+1, -1)]
+        for family in families:
+            with pytest.warns(UserWarning, match="not certified after 1 rounds"):
+                bound, x, w, m = criteria._certified_max(s, family, lambda w, m: 0.0)
+            assert bound >= family(s.system, x)[0](m, w).max()
 
     def test_popov_shares_crossing_solve(self, session, monkeypatch):
         # the crossing set is cached on M: whichever of exact_bounds and
@@ -669,10 +685,11 @@ class TestCertificate:
     @pytest.mark.parametrize("npoints", [10, 40])
     def test_extreme_window_sound(self, npoints):
         # no sample of [1e-300, 1e300] lands near the aircraft's locus.  A
-        # certificate that started from the samples alone read r_sg =
-        # 1.04e-7 at 40 points (2.9e-14 at 10) against 1.96519, and small
-        # gain and circle failed their audits; M's own frequencies start it
-        # where the locus lives
+        # certificate that started from the samples alone, with its interior
+        # points spaced linearly in w, read r_sg = 1.04e-7 at 40 points
+        # (2.9e-14 at 10) against 1.96519, and small gain and circle failed
+        # their audits; _interior's rounds, evenly in arctan(ln w/w0), find
+        # the locus from the samples and M's real-axis crossings alone
         result = run_analysis(AnalysisConfig(wmin=1e-300, wmax=1e300, npoints=npoints))
         assert len(result.reports) == 5 and result.all_sound
         assert result.intervals["small_gain"].witnesses["r_sg"] == pytest.approx(1.96519, rel=1e-5)
@@ -1368,6 +1385,15 @@ def test_audit_makes_no_thread_at_n8(monkeypatch):
     # 26 matrices of 8 x 8 per half, the exact interval's probes included,
     # would not run without the GIL
     assert run_analysis(AnalysisConfig()).all_sound
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_without_affinity(monkeypatch, count, cpus):
+    # where the platform has no sched_getaffinity, the audit counts every
+    # CPU, and takes one where even that count is unknown
+    monkeypatch.delattr(criteria.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(criteria.os, "cpu_count", lambda: count)
+    assert criteria._cpus() == cpus
 
 
 def _count_solves_of(H, monkeypatch):
