@@ -223,7 +223,7 @@ def load_model_file(path) -> tuple[FlightCondition, DimensionlessDerivatives]:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     return parse_model_text(text, source=str(path))
 

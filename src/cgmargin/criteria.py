@@ -21,8 +21,9 @@ solve: the jw-axis zeros of one para-Hermitian function either certify the
 level or bound the intervals where the next points go, evenly in arctan(ln
 w/w0) for w0 the geometric mean of M's pole moduli (``_interior``; Bruinsma
 and Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
-Kabamba, MCSS 2, 1989).  From the samples and M's real-axis crossings, these
-rounds find the locus, at [1e-300, 1e300] too: it holds over [0, wmax].
+Kabamba, MCSS 2, 1989).  From the samples, a parabola step at each sampled
+peak and M's real-axis crossings with a point to either side, these rounds
+find the locus, at [1e-300, 1e300] too: it holds over [0, wmax].
 """
 
 from __future__ import annotations
@@ -60,11 +61,8 @@ PER_INTERVAL = 8
 CERT_ROUNDS = 12
 _FRACTIONS = np.arange(1, PER_INTERVAL + 1) / (PER_INTERVAL + 1)
 
-# sampled local maxima within this share of the top sample are seeded by one
-# parabola step in log w before the first certificate solve
-SEED_RTOL = 1e-3
-
-# certificates start at each real-axis crossing w* of M and w*(1 +- SEED_EPS)
+# certificates start at each real-axis crossing w* of M and w*(1 +- SEED_EPS),
+# where popov_bounds reads the sign of w Im M beside w*
 SEED_EPS = 1e-6
 
 # verify_interval's eigen solves run on two threads when two CPUs are free
@@ -123,18 +121,15 @@ def sample_locus(
             "presume a stable fixed part"
         )
     grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), n)])
-    locus = freq_response(M, grid)
-    locus.values[0] = locus.values[0].real   # real by construction for real matrices
-    return locus
+    return freq_response(M, grid)
 
 
 def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """One parabola step in log w at each interior sampled local maximum of fv
-    within SEED_RTOL of the top sample: the vertex of the parabola through
-    the maximum and its two neighbours, kept between the neighbours."""
-    top, mid = fv.max(), fv[1:-1]
-    peak = (mid >= fv[:-2]) & (mid >= fv[2:]) & (mid >= top - SEED_RTOL * abs(top))
-    i = np.flatnonzero(peak) + 1
+    """One parabola step in log w at each interior sampled local maximum of fv:
+    the vertex of the parabola through the maximum and its two neighbours,
+    kept between the neighbours."""
+    mid = fv[1:-1]
+    i = np.flatnonzero((mid >= fv[:-2]) & (mid >= fv[2:])) + 1
     i = i[omegas[i - 1] > 0]   # w = 0 has no logarithm
     u0, u1, u2 = np.log(omegas[i - 1]), np.log(omegas[i]), np.log(omegas[i + 1])
     d0, d2 = fv[i] - fv[i - 1], fv[i] - fv[i + 1]
@@ -144,14 +139,14 @@ def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(u), omegas[i - 1][ok], omegas[i + 1][ok])
 
 
-def _interior(M: StateSpace, ends: np.ndarray, fractions) -> np.ndarray:
-    """Points at ``fractions`` of each interval between sorted ``ends``, evenly in
+def _interior(M: StateSpace, ends: np.ndarray) -> np.ndarray:
+    """PER_INTERVAL points inside each interval between sorted ``ends``, evenly in
     u = arctan(ln(w/w0)), w0 the geometric mean of M's pole moduli: [0, inf] maps
     onto [-pi/2, pi/2], dense about w0.  Each is clipped strictly inside its interval."""
     lw0 = np.log(np.abs(M.poles)).mean()
     with np.errstate(divide="ignore", over="ignore"):   # ln 0 = -inf maps to -pi/2
         u = np.arctan(np.log(ends) - lw0)
-        w = np.exp(lw0 + np.tan(u[:-1, None] + np.diff(u)[:, None] * fractions))
+        w = np.exp(lw0 + np.tan(u[:-1, None] + np.diff(u)[:, None] * _FRACTIONS))
     return np.clip(w, np.nextafter(ends[:-1], np.inf)[:, None], np.nextafter(ends[1:], 0.0)[:, None]).ravel()
 
 
@@ -165,8 +160,8 @@ def _certified_max(summary: FrequencyLocus, family, choose):
     them, with its M(jw).
 
     The points start as the samples plus, up to wmax and in one
-    ``freq_values`` call, one parabola step at each near-top sampled peak of
-    f (``_parabola_seeds``, at the x the samples give: where they miss the
+    ``freq_values`` call, one parabola step at each sampled peak of f
+    (``_parabola_seeds``, at the x the samples give: where they miss the
     locus, f may overflow) and each real-axis crossing w* > 0 of M and w*(1
     +- SEED_EPS).  Where they all miss it, as at [1e-300, 1e300], the rounds
     find it, densest about M's pole moduli (``_interior``).  Each round then
@@ -207,7 +202,7 @@ def _certified_max(summary: FrequencyLocus, family, choose):
         z = z[(z > 0) & (z < wmax)]
         if not z.size:
             break
-        w_in = _interior(M, np.concatenate([[0.0], z, [wmax]]), _FRACTIONS)
+        w_in = _interior(M, np.concatenate([[0.0], z, [wmax]]))
         m_in = freq_values(M, w_in)
         w, m = np.concatenate([w, w_in]), np.concatenate([m, m_in])
         if f(m_in, w_in).max() <= level + tol:
@@ -360,12 +355,12 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     If w Im M keeps one sign on (0, wmax], that bound is the limit as side
     * q * w Im M -> +inf: both sides read it, q = +-inf (the real axis)
     with gap 0.  The sign changes only at crossings (M's jw-axis zeros
-    among them, at x = 0.0; inside a run that ``real_crossings`` merges, M
-    is real to AXIS_RTOL and a change reads as a touch, as in
-    ``exact_bounds``), so the samples and the point halfway across each gap
-    between the crossings up to wmax and wmax (``_interior``) settle it.  An
-    Im M below the rounding unit of |M| has no sign: at w = 1e-100, M = (3s
-    + 1)/(s + 1)^3 reads +1e-115 for a true -8e-300.
+    among them, at x = 0.0), so the samples and w*(1 +- SEED_EPS) beside
+    each crossing w* in (0, wmax], where every certificate starts, settle
+    it.  A run that ``real_crossings`` merges is read beside its midpoint,
+    where M is real to AXIS_RTOL: a touch keeps one sign there.  An Im M
+    below the rounding unit of |M| has no sign: at w = 1e-100, M = (3s +
+    1)/(s + 1)^3 reads +1e-115 for a true -8e-300.
 
     Otherwise each side is one ``_popov_line`` whose ``choose`` is Kelley's
     cutting plane (J. SIAM 8, 1960): over the set S of points evaluated so
@@ -380,10 +375,10 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
     axis = [p for p in M.real_crossings if p[0] <= omegas[-1]]
-    ends = np.array([wk for wk, _ in axis] + [omegas[-1]])
-    mid = _interior(M, ends, 0.5)[np.diff(ends) > 0]
-    m = np.concatenate([values, freq_values(M, mid)])
-    turn = np.concatenate([omegas, mid]) * m.imag
+    beside = np.outer([wk for wk, _ in axis if wk > 0], [1.0 - SEED_EPS, 1.0 + SEED_EPS]).ravel()
+    beside = beside[beside <= omegas[-1]]
+    m = np.concatenate([values, freq_values(M, beside)])
+    turn = np.concatenate([omegas, beside]) * m.imag
     turn[np.abs(m.imag) <= np.finfo(float).eps * np.abs(m)] = 0.0   # rounding: no sign
     sign = 1.0 if (turn > 0).any() else -1.0
     witnesses = {}

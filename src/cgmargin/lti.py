@@ -38,8 +38,6 @@ STACK_BYTES = 512 * 1024
 # without it n = 128 overflows near w = 1e4
 RESCALE_AT = 1e150
 
-# a Markov parameter c A^k b counts as zero below this share of |c A^k| |b|
-MARKOV_RTOL = 1e-10
 # an invariant zero z lies on the jw-axis when |Re z| <= AXIS_RTOL * |z|; one
 # within AXIS_RTOL * |Z|_1 of the origin, the rounding of the zero-dynamics
 # matrix Z, is the origin (d = 0 only: with d != 0 the entries of b c / d
@@ -54,7 +52,9 @@ AXIS_RTOL = 1e-8
 # b c / d outweighs A by 1/D_RTOL, and the d != 0 solve loses on-axis zeros (0.20
 # and 2.20 rad/s of -Re M on the aircraft, at ratios up to 2.9e-12; no benchmark
 # solve is below 3.2e-9).  Such a real value of M(jw) is a crossing at 0.0 (real_crossings:
-# the aircraft's M(0) = 0 is at 1.4e-12; no benchmark crossing is below 6.5e-4)
+# the aircraft's M(0) = 0 is at 1.4e-12; no benchmark crossing is below 6.5e-4).
+# It also sets the relative degree (_zero_dynamics): a Markov parameter c A^k b
+# with |c A^k b| <= D_RTOL |c A^k| |b| is a rounding zero
 D_RTOL = 1e-10
 
 
@@ -396,13 +396,13 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
     large entries in b c / d, pushes on-axis zeros off the axis.
 
     With d = 0 the zeros are those of the zero dynamics (Emami-Naeini and
-    Van Dooren, Automatica 18(4), 1982): with c A^k b the first nonzero
-    Markov parameter, the gain, A - b c A^(k+1) / (c A^k b) leaves the null
-    space of the rows c, cA, ..., cA^k invariant, and its restriction there
-    has the n - k - 1 zeros as eigenvalues.  Deflating by the relative
-    degree this way adds no spurious zeros at the origin when cb = 0.  A
-    function that is identically zero has no zeros and gain 0.  A zero of
-    multiplicity m is found only to about eps^(1/m).
+    Van Dooren, Automatica 18(4), 1982): with c A^k b the first Markov
+    parameter above rounding (``D_RTOL``), the gain, A - b c A^(k+1) / (c
+    A^k b) leaves the null space of the rows c, cA, ..., cA^k invariant, and
+    its restriction there has the n - k - 1 zeros as eigenvalues.  Deflating
+    by the relative degree this way adds no spurious zeros at the origin
+    when cb = 0.  A function that is identically zero has no zeros and gain
+    0.  A zero of multiplicity m is found only to about eps^(1/m).
     """
     if d != 0.0:
         A, c = A.copy(), c.copy()
@@ -410,7 +410,7 @@ def _zero_dynamics(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float):
         A[0] -= (beta / d) * c
         return np.linalg.eigvals(A), d
     rows = [c]
-    while abs(rows[-1] @ b) <= MARKOV_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
+    while abs(rows[-1] @ b) <= D_RTOL * np.linalg.norm(rows[-1]) * np.linalg.norm(b):
         if len(rows) >= A.shape[0]:
             return np.empty(0), 0.0
         rows.append(rows[-1] @ A)

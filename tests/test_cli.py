@@ -130,6 +130,18 @@ class TestModelCommand:
         assert result.output == "Error: H has an entry that is not finite: an input overflowed\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["analyze"], ["model"], ["plot", "popov"], ["verify"]])
+    def test_model_file_not_utf8_is_one_error_line(self, runner, tmp_path, command):
+        # the UnicodeDecodeError of reading it ended in a traceback
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"V0 = 1\xff\n")
+        result = runner.invoke(main, [*command, "--model", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        [line] = result.output.splitlines()
+        assert line.startswith(f"Error: cannot read model file {path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_frequency_window(self, runner, tmp_path):
         result = runner.invoke(
             main, ["model", "--wmin", "10", "--wmax", "1", "--out", str(tmp_path)]

@@ -394,21 +394,31 @@ class TestInterior:
         ends = np.array(sorted([0.0, 1e-300, 0.115739, 0.115805, w0, 1e20, 1e21, 1e300]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for fractions in (criteria._FRACTIONS, 0.5):
-                w = criteria._interior(M, ends, fractions).reshape(ends.size - 1, -1)
-                assert np.isfinite(w).all() and np.all(np.diff(w.ravel()) >= 0)
-                assert np.all((ends[:-1, None] < w) & (w < ends[1:, None]))
-                # [0, 1e-300] spans only 1.4e-3 in u, so its points underflow
-                # to the least float above 0; above it they are distinct
-                assert np.all(np.diff(w[1:], axis=1) > 0)
+            w = criteria._interior(M, ends).reshape(ends.size - 1, -1)
+        assert np.isfinite(w).all() and np.all(np.diff(w.ravel()) >= 0)
+        assert np.all((ends[:-1, None] < w) & (w < ends[1:, None]))
+        # [0, 1e-300] spans only 1.4e-3 in u, so its points underflow
+        # to the least float above 0; above it they are distinct
+        assert np.all(np.diff(w[1:], axis=1) > 0)
 
     def test_points_where_the_locus_lives(self):
         # flat_at_origin's Re M dips to -0.2071 at w = 2.414, inside [1.468,
         # 1e300]: a linear fraction of that interval is 1e299, a logarithmic
         # one 1e33, and neither sees the dip
         M = _hard_case("flat_at_origin").M
-        w = criteria._interior(M, np.array([1.468, 1e300]), criteria._FRACTIONS)
+        w = criteria._interior(M, np.array([1.468, 1e300]))
         assert np.any((w >= 2.0) & (w <= 3.0))
+
+
+class TestParabolaSeeds:
+    def test_every_sampled_peak_gets_a_step(self):
+        # two parabolas in u = ln w with vertices at w = 2.5 and w = 40, the
+        # second 0.5 below the first: each sampled peak gets its step, the
+        # vertex of the parabola through it and its neighbours, exactly
+        omegas = np.logspace(0.0, 2.0, 9)
+        u = np.log(omegas)
+        fv = np.where(np.arange(9) < 4, 1.0 - (u - math.log(2.5)) ** 2, 0.5 - (u - math.log(40.0)) ** 2)
+        assert criteria._parabola_seeds(omegas, fv) == pytest.approx([2.5, 40.0], rel=1e-12)
 
 
 class TestCertificate:
@@ -562,6 +572,39 @@ class TestCertificate:
         calls.clear()
         popov_bounds(s)
         assert len(starts) == 6 and len(calls) == 3
+
+    @pytest.mark.filterwarnings("ignore:.*intercept of the wrong sign")
+    @pytest.mark.parametrize("case, window", [
+        ("aircraft", {}), ("aircraft", {"wmin": 1e-300, "wmax": 1e300, "n": 10}),
+        ("relative_degree_3", {"wmin": 1e-300, "wmax": 1e300, "n": 10}),
+    ])
+    def test_popov_sign_test_reads_beside_crossings(self, session, monkeypatch, case, window):
+        # w Im M changes sign only at M's real-axis crossings, so Popov's sign
+        # test reads it at the samples and, in one freq_values call before
+        # either side's certificate, at w*(1 +- SEED_EPS) beside each
+        # crossing w* in (0, wmax]: the points every certificate starts from
+        M = session.model.M if case == "aircraft" else _hard_case(case).M
+        s = sample_locus(M, **window)
+        beside = np.array([wk for wk, _ in M.real_crossings if 0 < wk <= s.omegas[-1]])
+        assert beside.size
+        beside = np.outer(beside, [1.0 - criteria.SEED_EPS, 1.0 + criteria.SEED_EPS]).ravel()
+        calls, lines = [], []
+        popov_line = criteria._popov_line
+
+        def recorded_values(M, omegas):
+            if not lines:
+                calls.append(np.asarray(omegas))
+            return freq_values(M, omegas)
+
+        def recorded_line(*args):
+            lines.append(args)
+            return popov_line(*args)
+
+        monkeypatch.setattr(criteria, "freq_values", recorded_values)
+        monkeypatch.setattr(criteria, "_popov_line", recorded_line)
+        popov_bounds(s)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(np.sort(calls[0]), np.sort(beside[beside <= s.omegas[-1]]))
 
     def test_aircraft_analysis_work(self, monkeypatch):
         # the default run: one freq_values call per certificate for its
@@ -729,8 +772,7 @@ class TestCertificate:
         # At [1e-300, 1e300] no sample sees that, and the sign test's point
         # in the gap [1, 1e300] once sat at the arithmetic midpoint 5e299,
         # where M reads 0: both sides took the real axis, q = -+inf, which
-        # the locus crosses.  The point now lies near w = e, where the
-        # locus lives
+        # the locus crosses.  The test now reads w Im M just beside w = 1
         M = _hard_case("relative_degree_3").M
         s = sample_locus(M, wmin=1e-300, wmax=1e300, n=npoints)
         _assert_encloses(_graphical_witnesses(s), THIN_OMEGAS, _per_point(M, THIN_OMEGAS))
