@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFileError, SingularMassMatrixError
+from .errors import ModelFileError, RepresentationError, SingularMassMatrixError
 from .lti import StateSpace
 
 DEFAULT_MODEL_RESOURCE = "aircraft_cook_fbw.cfg"
@@ -117,17 +117,17 @@ def dimensionalize(fc: FlightCondition, d: DimensionlessDerivatives) -> Dimensio
         Xw=k * V0 * d.X_w,
         Xwdot=k * c * d.X_wdot,
         Xq=k * V0 * c * d.X_q,
-        Xeta=k * V0 ** 2 * d.X_eta,
+        Xeta=k * (V0 * V0) * d.X_eta,
         Zu=k * V0 * d.Z_u,
         Zw=k * V0 * d.Z_w,
         Zwdot=k * c * d.Z_wdot,
         Zq=k * V0 * c * d.Z_q,
-        Zeta=k * V0 ** 2 * d.Z_eta,
+        Zeta=k * (V0 * V0) * d.Z_eta,
         Mu=k * V0 * c * d.M_u,
         Mw=k * V0 * c * d.M_w,
-        Mwdot=k * c ** 2 * d.M_wdot,
-        Mq=k * V0 * c ** 2 * d.M_q,
-        Meta=k * V0 ** 2 * c * d.M_eta,
+        Mwdot=k * (c * c) * d.M_wdot,
+        Mq=k * V0 * (c * c) * d.M_q,
+        Meta=k * (V0 * V0) * c * d.M_eta,
     )
 
 
@@ -137,7 +137,8 @@ def longitudinal_plant(fc: FlightCondition, dd: DimensionalDerivatives) -> State
 
     States are (u, w, q, theta), row 4 being the kinematic relation
     thetadot = q; outputs are (theta, q, alpha) with alpha = w / V0; D = 0.
-    det Mass = m (m - Zwdot) Iy, so m - Zwdot > 0 makes Mass invertible.
+    det Mass = m (m - Zwdot) Iy, so m - Zwdot > 0 makes Mass invertible;
+    a Mass that an overflowed input left not finite is refused.
     """
     m, V0, g, Iy = fc.m, fc.V0, fc.g, fc.Iy
     if m - dd.Zwdot <= 0:
@@ -152,6 +153,8 @@ def longitudinal_plant(fc: FlightCondition, dd: DimensionalDerivatives) -> State
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
+    if not np.isfinite(Mass).all():
+        raise RepresentationError("the mass matrix has an entry that is not finite: an input overflowed")
     A_t = np.array(
         [
             [dd.Xu, dd.Xw, dd.Xq, -m * g],

@@ -9,18 +9,19 @@ of M(jw) themselves, found as the jw-axis zeros of M(s) - M(-s).
 
 Each graphical bound is the sup over w of one function of M(jw) with one
 parameter x, pinned or searched, in one of two families: |M - x| for a
-circle centred at x on the real axis (``_circle_radius``; small gain pins x
+circle centred at x on the real axis (``_modulus_level``; small gain pins x
 = 0, the circle at its sampled-minimax center) and side * Re[(1 + jxw) M]
-for a Popov line of slope x (``_popov_line``; positive real pins x = 0,
-Popov searches the x that minimizes the sup).  One loop, ``_certified_max``,
-computes every such sup.  Each round takes x from every point evaluated so
-far, a constant where x is pinned and for Popov the exact argmin of their
-lower model (``_minimax_line``; Kelley's cutting planes, J. SIAM 8, 1960),
-raises the level to the largest of those points, and makes one crossing
-solve: the jw-axis zeros of one para-Hermitian function either certify the
-level or bound the intervals where the next points go, evenly in arctan(ln
-w/w0) for w0 the geometric mean of M's pole moduli (``_interior``; Bruinsma
-and Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
+for a Popov line of slope x (``_popov_level``; positive real pins x = 0,
+Popov searches the x that minimizes the sup).  Each criterion computes each
+such sup by one loop, ``_certified_max``, with its family and its rule for
+x.  Each round takes x from every point evaluated so far, a constant where x
+is pinned and for Popov the exact argmin of their lower model
+(``_minimax_line``; Kelley's cutting planes, J. SIAM 8, 1960), raises the
+level to the largest of those points, and makes one crossing solve: the
+jw-axis zeros of one para-Hermitian function either certify the level or
+bound the intervals where the next points go, evenly in arctan(ln w/w0) for
+w0 the geometric mean of M's pole moduli (``_interior``; Bruinsma and
+Steinbuch, Systems & Control Letters 14, 1990; Boyd, Balakrishnan and
 Kabamba, MCSS 2, 1989).  From the samples, a parabola step at each sampled
 peak and M's real-axis crossings with a point to either side, these rounds
 find the locus, at [1e-300, 1e300] too: it holds over [0, wmax].
@@ -33,6 +34,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,9 +112,10 @@ def sample_locus(
 ) -> FrequencyLocus:
     """Sample M(jw) at w = 0 and on n log-spaced points of [wmin, wmax].
 
-    The locus carries M as ``system``, for the certificates."""
-    if wmin <= 0 or wmax <= wmin or n < 2:
-        raise DimensionError("need 0 < wmin < wmax and n >= 2")
+    The locus carries M as ``system``, for the certificates.  A window
+    whose response overflows is refused as not finite, with no warning."""
+    if not 0 < wmin < wmax < math.inf or n < 2:   # nan fails
+        raise DimensionError("need 0 < wmin < wmax < inf and n >= 2")
     if M.ninputs != 1 or M.noutputs != 1 or np.any(M.D != 0):
         raise DimensionError("M must be SISO and strictly proper")
     if not np.all(M.poles.real < 0.0):
@@ -121,7 +124,8 @@ def sample_locus(
             "presume a stable fixed part"
         )
     grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), n)])
-    return freq_response(M, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return freq_response(M, grid)
 
 
 def _parabola_seeds(omegas: np.ndarray, fv: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def _certified_max(summary: FrequencyLocus, family, choose):
         tol = CERT_RTOL * abs(level)
         warnings.warn(
             f"maximum {level + tol!r} not certified after {CERT_ROUNDS} rounds",
-            stacklevel=4,
+            stacklevel=3,
         )
     return level + tol, x, w, m
 
@@ -298,23 +302,13 @@ def _popov_level(M: StateSpace, q: float, side: int):
     )
 
 
-def _circle_radius(summary: FrequencyLocus, x_c: float) -> float:
-    """Certified radius of the locus about the center x_c on the real axis."""
-    return _certified_max(summary, _modulus_level, lambda w, m: x_c)[0]
-
-
-def _popov_line(summary: FrequencyLocus, side: int, choose):
-    """(c, q, w, m): the certified sup c of side * Re[(1 + jqw) M(jw)] at q = ``choose(w, m)``."""
-    return _certified_max(summary, lambda M, q: _popov_level(M, q, side), choose)
-
-
 def small_gain_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Smallest origin-centered circle enclosing the locus of M(jw).
 
     The radius r_sg is the peak magnitude of M; the interval is the
     symmetric (-1/r_sg, +1/r_sg), unbounded on both sides where M = 0.
     """
-    r_sg = _circle_radius(summary, 0.0)
+    r_sg = _certified_max(summary, _modulus_level, lambda w, m: 0.0)[0]
     return _interval_from_intercepts(pos=r_sg, neg=-r_sg, criterion="small_gain", witnesses={"r_sg": r_sg})
 
 
@@ -330,15 +324,15 @@ def circle_bounds(summary: FrequencyLocus, center: str = "optimal") -> Stability
         raise ValueError(f"unknown center mode {center!r}")
     # r^2 = x^2 + max_k (|M_k|^2 - 2 X_k x)
     x_c = _minimax_line(np.abs(summary.values) ** 2, 2.0 * summary.values.real, quad=True)[0]
-    r_c = _circle_radius(summary, x_c)
+    r_c = _certified_max(summary, _modulus_level, lambda w, m: x_c)[0]
     return _interval_from_intercepts(pos=x_c + r_c, neg=x_c - r_c, criterion="circle",
                                      witnesses={"x_c": x_c, "r_c": r_c})
 
 
 def positive_real_bounds(summary: FrequencyLocus) -> StabilityInterval:
     """Vertical lines at the extreme real parts of the locus: Popov lines at q = 0."""
-    x_max = _popov_line(summary, +1, lambda w, m: 0.0)[0]
-    x_min = -_popov_line(summary, -1, lambda w, m: 0.0)[0]
+    x_max = _certified_max(summary, partial(_popov_level, side=+1), lambda w, m: 0.0)[0]
+    x_min = -_certified_max(summary, partial(_popov_level, side=-1), lambda w, m: 0.0)[0]
     return _interval_from_intercepts(pos=x_max, neg=x_min, criterion="positive_real",
                                      witnesses={"x_max": x_max, "x_min": x_min})
 
@@ -362,16 +356,16 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     below the rounding unit of |M| has no sign: at w = 1e-100, M = (3s +
     1)/(s + 1)^3 reads +1e-115 for a true -8e-300.
 
-    Otherwise each side is one ``_popov_line`` whose ``choose`` is Kelley's
-    cutting plane (J. SIAM 8, 1960): over the set S of points evaluated so
-    far, phi_S(q) = max_k side * f(q, w_k) is convex and lies below the sup
-    over [0, wmax], and q is its exact argmin (``_minimax_line``), bounded
-    as S starts on both sides of each crossing.  S only grows, by
-    appending, so each round's solve starts from the previous round's
+    Otherwise each side is one ``_certified_max`` of ``_popov_level`` whose
+    ``choose`` is Kelley's cutting plane (J. SIAM 8, 1960): over the set S
+    of points evaluated so far, phi_S(q) = max_k side * f(q, w_k) is convex
+    and lies below the sup over [0, wmax], and q is its exact argmin
+    (``_minimax_line``), bounded as S starts on both sides of each crossing.
+    S only grows, by appending, so each argmin starts from the last one's
     active pair.  So every reported line (q, c) encloses the continuous
     locus on [0, wmax], and ``gap_plus``/``gap_minus``, c less min phi_S
-    over the final S, bound how far c lies from the optimum over every
-    slope: once the certificate closes, at most its tol (``_certified_max``).
+    over the final S (one more argmin), bound how far c lies from the
+    optimum over every slope: once the certificate closes, at most its tol.
     """
     M, omegas, values = summary.system, summary.omegas, summary.values
     axis = [p for p in M.real_crossings if p[0] <= omegas[-1]]
@@ -381,19 +375,19 @@ def popov_bounds(summary: FrequencyLocus) -> StabilityInterval:
     turn = np.concatenate([omegas, beside]) * m.imag
     turn[np.abs(m.imag) <= np.finfo(float).eps * np.abs(m)] = 0.0   # rounding: no sign
     sign = 1.0 if (turn > 0).any() else -1.0
+    limit = not (sign * turn < 0).any()   # one sign: the limit line
     witnesses = {}
     for side, name in ((+1, "plus"), (-1, "minus")):
-        if not (sign * turn < 0).any():   # one sign: the limit line
+        if limit:
             q, c, gap = math.copysign(math.inf, side * sign), float(max(side * x for _, x in axis)), 0.0
         else:
-            seen, q_low, pair = 0, 0.0, None   # the latest argmin, over `seen` points
+            pair = None
 
             def choose(w, m, side=side):
-                nonlocal seen, q_low, pair
-                if w.size != seen:   # points are only appended
-                    seen, (q_low, pair) = w.size, _minimax_line(side * m.real, side * w * m.imag, pair=pair)
+                nonlocal pair
+                q_low, pair = _minimax_line(side * m.real, side * w * m.imag, pair=pair)
                 return q_low
-            c, q, w, m = _popov_line(summary, side, choose)
+            c, q, w, m = _certified_max(summary, partial(_popov_level, side=side), choose)
             a, b = side * m.real, side * w * m.imag
             gap = c - float((a - choose(w, m) * b).max())
         witnesses |= {f"q_{name}": q, f"c_{name}": side * c, f"gap_{name}": gap}

@@ -117,17 +117,48 @@ class TestModelCommand:
             assert line.startswith(f"Error: {path}:{lineno + 1}: field {field!r}")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["analyze", "model"])
-    def test_overflowing_model_value_is_one_error_line(self, runner, tmp_path, command):
-        # Iy = 1e-320 is finite and positive, but the model built on it
-        # overflows: it ended in an "SVD did not converge" traceback
-        text = re.sub(r"(?m)^Iy = .*$", "Iy = 1e-320", default_model_path().read_text())
-        path = tmp_path / "tiny_iy.cfg"
+    @pytest.mark.parametrize("command, field, value, matrix", [
+        pytest.param(command, field, value, matrix, id=command if field == "Iy" else f"{field}-{command}")
+        for field, value, matrix in [("Iy", "1e-320", "H"), ("V0", "1e300", "H"), ("c", "1e300", "the mass matrix")]
+        for command in ("analyze", "model")
+    ])
+    def test_overflowing_model_value_is_one_error_line(self, runner, tmp_path, command, field, value, matrix):
+        # each value is finite and positive, but the model built on it
+        # overflows: Iy = 1e-320 ended in an "SVD did not converge"
+        # traceback, V0 = 1e300 and c = 1e300 in an OverflowError from their
+        # squares, and c = 1e300 then in a LinAlgError from solving with a
+        # mass matrix that holds inf
+        text = re.sub(rf"(?m)^{field} = .*$", f"{field} = {value}", default_model_path().read_text())
+        path = tmp_path / "overflow.cfg"
         path.write_text(text)
         result = runner.invoke(main, [command, "--model", str(path), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)   # no traceback
-        assert result.output == "Error: H has an entry that is not finite: an input overflowed\n"
+        assert result.output == f"Error: {matrix} has an entry that is not finite: an input overflowed\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--npoints"], ["analyze", "--n-verify"], ["verify", "--n-samples"],
+        ["model", "--npoints"], ["plot", "popov", "--npoints"],
+    ], ids=["analyze-npoints", "analyze-n_verify", "verify-n_samples", "model-npoints", "plot-npoints"])
+    def test_request_too_large_is_one_error_line(self, runner, tmp_path, args):
+        # 1e15 float64s are 7.11 PiB, which numpy refuses before it allocates
+        # anything: each ended in an _ArrayMemoryError traceback
+        result = runner.invoke(main, [*args, "1000000000000000", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        [line] = result.output.splitlines()
+        assert line.startswith("Error: Unable to allocate ")
+        assert not (tmp_path / "out").exists()
+
+    def test_window_whose_response_overflows_is_one_error_line(self, runner, tmp_path):
+        # wmax = 1e307 is finite, but M(jw) overflows there: four
+        # RuntimeWarnings came before the error, a traceback where they are
+        # errors, as in this suite
+        result = runner.invoke(main, ["analyze", "--wmax", "1e307", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # no traceback
+        assert result.output == "Error: locus contains non-finite samples\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [["analyze"], ["model"], ["plot", "popov"], ["verify"]])

@@ -273,6 +273,15 @@ class TestSampleLocus:
         with pytest.raises(DimensionError):
             sample_locus(session.model.M, wmin=-1.0, wmax=1.0)
 
+    @pytest.mark.parametrize("window", [{"wmin": math.nan}, {"wmax": math.inf}, {"wmax": 1e307}],
+                             ids=["wmin_nan", "wmax_inf", "wmax_overflows"])
+    def test_nonfinite_window_refused(self, session, window):
+        # nan and inf passed the window check, and a grid on which the
+        # response overflows warned before its non-finite samples were
+        # refused: one DimensionError now, and no RuntimeWarning
+        with pytest.raises(DimensionError):
+            sample_locus(session.model.M, **window)
+
     def test_non_siso_rejected(self):
         mimo = StateSpace(
             [[-1.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]]
@@ -589,7 +598,7 @@ class TestCertificate:
         assert beside.size
         beside = np.outer(beside, [1.0 - criteria.SEED_EPS, 1.0 + criteria.SEED_EPS]).ravel()
         calls, lines = [], []
-        popov_line = criteria._popov_line
+        certified_max = criteria._certified_max
 
         def recorded_values(M, omegas):
             if not lines:
@@ -598,10 +607,10 @@ class TestCertificate:
 
         def recorded_line(*args):
             lines.append(args)
-            return popov_line(*args)
+            return certified_max(*args)
 
         monkeypatch.setattr(criteria, "freq_values", recorded_values)
-        monkeypatch.setattr(criteria, "_popov_line", recorded_line)
+        monkeypatch.setattr(criteria, "_certified_max", recorded_line)
         popov_bounds(s)
         assert len(calls) == 1
         np.testing.assert_array_equal(np.sort(calls[0]), np.sort(beside[beside <= s.omegas[-1]]))
@@ -610,8 +619,9 @@ class TestCertificate:
         # the default run: one freq_values call per certificate for its
         # start points and one for popov_bounds' sign test, one crossing
         # solve per certificate, and a minimax solve for the circle's center
-        # and for each Popov side's samples and start points; the gap reuses
-        # the last, as no point followed it
+        # and for each Popov side's samples, start points and gap; the gap's
+        # pass starts from the last one's active pair and, as no point
+        # followed it, ends at once
         counts = {}
 
         def counted(name):
@@ -625,7 +635,7 @@ class TestCertificate:
         for name in ("freq_values", "imaginary_zeros", "_minimax_line"):
             counted(name)
         assert run_analysis(AnalysisConfig()).all_sound
-        assert counts == {"freq_values": 7, "imaginary_zeros": 6, "_minimax_line": 5}
+        assert counts == {"freq_values": 7, "imaginary_zeros": 6, "_minimax_line": 7}
 
     def test_exhausted_rounds_bound_every_point(self, session, monkeypatch):
         # a certificate that is still open after CERT_ROUNDS rounds warns and
